@@ -1,9 +1,9 @@
-//! Guard bench: the registry-backed telemetry rebased under every daemon
-//! counter must cost (nearly) nothing on the request hot path.
+//! Guard bench: the daemon's telemetry must cost (nearly) nothing on the
+//! request hot path.
 //!
-//! Each served request records exactly one `requests_total` increment and
-//! one latency-histogram observation through the shared registry (a mutex
-//! guarded series lookup plus relaxed-atomic updates). This measures that
+//! Each served request records exactly one endpoint × status count and
+//! one latency-histogram observation in `ServerMetrics` (one short
+//! mutex-guarded map probe each). This measures that
 //! per-request recording cost directly, then bounds it against the warm
 //! `POST /repair` handling time — the cheapest request the daemon serves
 //! at steady state, i.e. the one where the telemetry share is largest.
@@ -35,8 +35,8 @@ fn main() {
     );
 
     // The numerator: what the engine records per served request — one
-    // endpoint/status counter bump and one latency observation, both
-    // through the registry's series lookup.
+    // endpoint/status count and one latency observation, each behind one
+    // map probe.
     let metrics = ServerMetrics::new();
     const RECORD_ITERS: u64 = 200_000;
     let mut record_batches = Vec::new();
@@ -67,7 +67,7 @@ fn main() {
     let overhead_pct = 100.0 * record_ns / handle_ns;
     println!("telemetry_overhead: per-request recording {record_ns:.1} ns");
     println!("telemetry_overhead: warm repair handling  {handle_ns:.1} ns");
-    println!("telemetry_overhead: registry share        {overhead_pct:.3}% (limit 2%)");
+    println!("telemetry_overhead: telemetry share       {overhead_pct:.3}% (limit 2%)");
 
     let json = format!(
         "{{\n  \"bench\": \"telemetry_overhead\",\n  \"record_ns\": {record_ns:.1},\n  \

@@ -907,90 +907,4 @@ mod tests {
             "{text}"
         );
     }
-
-    /// A minimal well-formed `/metrics` body: every field the typed
-    /// decoder requires, with `persistent`/`cluster` swappable per test.
-    fn metrics_body(persistent: &str, cluster: &str) -> String {
-        format!(
-            r#"{{"oracle_cache":{{"hits":6,"misses":2,"hit_rate":0.75,"persist_hits":4}},
-"candidate_dedup":{{"dedup_hits":7,"dedup_misses":21,"dedup_rate":0.25}},
-"incremental":{{"incremental_checks":11,"clause_reuse_rate":0.6}},
-"persistent":{persistent},
-"cluster":{cluster}}}"#
-        )
-    }
-
-    #[test]
-    fn snapshot_decoder_reads_every_reconciliation_field() {
-        let body = metrics_body(
-            r#"{"enabled":false}"#,
-            r#"{"enabled":true,"role":"shard","remote_hits":2,"remote_puts":3}"#,
-        );
-        let snapshot = Snapshot::from_json(&body).unwrap();
-        assert_eq!(snapshot.oracle_cache.hits, 6);
-        assert_eq!(snapshot.oracle_cache.misses, 2);
-        assert_eq!(snapshot.oracle_cache.hit_rate, 0.75);
-        assert_eq!(snapshot.candidate_dedup.hits, 7);
-        assert_eq!(snapshot.candidate_dedup.rate, 0.25);
-        assert_eq!(snapshot.incremental.checks, 11);
-        assert_eq!(snapshot.incremental.clause_reuse_rate, 0.6);
-        // Without `--cache-dir` the tier renders `enabled: false`: the
-        // typed decoder reports "off" as `None`, not an error.
-        assert_eq!(snapshot.persistent, None);
-        // The shard cluster section carries the remote-tier counters the
-        // per-shard report reads.
-        match &snapshot.cluster {
-            ClusterSection::Shard(shard) => {
-                assert_eq!(shard.remote_hits, 2);
-                assert_eq!(shard.remote_puts, 3);
-            }
-            other => panic!("expected a shard cluster section, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn snapshot_decoder_reads_the_persistent_tier_when_enabled() {
-        let body = metrics_body(r#"{"enabled":true,"preloaded":17}"#, r#"{"enabled":false}"#);
-        let snapshot = Snapshot::from_json(&body).unwrap();
-        let persist = snapshot.persistent.expect("tier is on");
-        assert_eq!(persist.preloaded, 17);
-        assert_eq!(snapshot.oracle_cache.persist_hits, 4);
-        assert_eq!(snapshot.cluster, ClusterSection::Off);
-        // An enabled tier that lost its `preloaded` counter is a described
-        // error, not a panic.
-        let broken = metrics_body(r#"{"enabled":true}"#, r#"{"enabled":false}"#);
-        let err = Snapshot::from_json(&broken).unwrap_err();
-        assert!(err.contains("no `preloaded` field"), "{err}");
-    }
-
-    #[test]
-    fn snapshot_decoder_describes_each_malformation() {
-        let cases: [(String, &str); 7] = [
-            ("not json at all".to_string(), "not valid JSON"),
-            ("[1,2,3]".to_string(), "not a JSON object"),
-            (r#"{"queue":{}}"#.to_string(), "no `oracle_cache` section"),
-            (
-                r#"{"oracle_cache":{"hits":3,"misses":1}}"#.to_string(),
-                "no `hit_rate` field",
-            ),
-            (
-                r#"{"oracle_cache":{"hits":3,"misses":1,"hit_rate":"high"}}"#.to_string(),
-                "not a number",
-            ),
-            (
-                r#"{"oracle_cache":{"hits":6,"misses":2,"hit_rate":0.75}}"#.to_string(),
-                "no `candidate_dedup` section",
-            ),
-            (
-                r#"{"oracle_cache":{"hits":6,"misses":2,"hit_rate":0.75},
-"candidate_dedup":{"dedup_hits":7,"dedup_rate":0.25}}"#
-                    .to_string(),
-                "no `incremental` section",
-            ),
-        ];
-        for (body, expected) in cases {
-            let err = Snapshot::from_json(&body).unwrap_err();
-            assert!(err.contains(expected), "{body} => {err}");
-        }
-    }
 }

@@ -1,15 +1,19 @@
-//! Server observability, rebased on the unified telemetry registry.
+//! Server observability: the daemon's own counters and the typed
+//! [`Snapshot`] built from them.
 //!
-//! [`ServerMetrics`] used to keep its own maps of counters and latency
-//! histograms and hand-render the `GET /metrics` JSON; now every series
-//! lives in a [`Registry`] (lock-free relaxed-atomic increments on the
-//! hot path) and the document is produced by assembling a typed
-//! [`Snapshot`] — the same snapshot that backs the Prometheus exposition
-//! at `GET /metrics/prom`, the time-series ring at `GET /metrics/history`
-//! and fleet aggregation at the router. The JSON document itself is
-//! byte-for-byte the historical format, pinned by the golden-file test
-//! below.
+//! [`ServerMetrics`] keeps four scalar cells (queue depth, inflight, shed,
+//! deadline-exceeded) as lock-free telemetry [`Gauge`]s and [`Counter`]s,
+//! one endpoint × status count map and one per-technique latency
+//! [`Histogram`] map. [`ServerMetrics::snapshot`] builds the snapshot's
+//! request and latency rows straight from those maps and adds every
+//! subsystem's section. That one snapshot backs the `GET /metrics` JSON
+//! document (byte-for-byte the historical format, pinned by the golden-file
+//! test below), the Prometheus exposition at `GET /metrics/prom`, the
+//! time-series ring at `GET /metrics/history` and fleet aggregation at the
+//! router.
 
+use std::collections::BTreeMap;
+use std::sync::Mutex;
 use std::time::Instant;
 
 use mualloy_analyzer::{IncrementalStats, OracleCacheStats};
@@ -17,33 +21,35 @@ use serde::Value;
 use specrepair_cache::PersistStats;
 use specrepair_core::DedupStats;
 use specrepair_llm::TransportStats;
-use specrepair_telemetry::{
-    ClusterSection, Counter, Gauge, Registry, Sample, SampleValue, Snapshot,
-};
+use specrepair_telemetry::{ClusterSection, Counter, Gauge, Snapshot};
 
 /// The log₂ latency histogram, promoted into the telemetry crate; the
 /// historical `server::Histogram` name keeps working.
 pub use specrepair_telemetry::HistogramSnapshot as Histogram;
 
-fn label(sample: &Sample, key: &str) -> String {
-    sample
-        .labels
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v.clone())
-        .unwrap_or_default()
+const POISONED: &str = "a thread panicked while recording metrics";
+
+/// The entry for `key`, allocating the owned key only on first use.
+fn slot<'a, V: Default>(map: &'a mut BTreeMap<String, V>, key: &str) -> &'a mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_string(), V::default());
+    }
+    map.get_mut(key).expect("inserted above")
 }
 
-/// The server-wide metrics registry. All methods take `&self`; it is shared
-/// behind the server state `Arc` across acceptor and workers.
+/// The server-wide metrics. All methods take `&self`; it is shared behind
+/// the server state `Arc` across acceptor and workers.
 #[derive(Debug)]
 pub struct ServerMetrics {
     started: Instant,
-    registry: Registry,
     queue_depth: Gauge,
     inflight: Gauge,
     shed_total: Counter,
     deadline_exceeded_total: Counter,
+    /// Endpoint → status → requests served.
+    requests: Mutex<BTreeMap<String, BTreeMap<u16, u64>>>,
+    /// Technique → repair latency.
+    latency: Mutex<BTreeMap<String, Histogram>>,
 }
 
 impl Default for ServerMetrics {
@@ -53,48 +59,23 @@ impl Default for ServerMetrics {
 }
 
 impl ServerMetrics {
-    /// A fresh registry.
+    /// Fresh zeroed metrics.
     pub fn new() -> ServerMetrics {
-        let registry = Registry::new();
-        let queue_depth = registry.gauge(
-            "specrepair_queue_depth",
-            "Requests waiting in the admission queue.",
-            &[],
-        );
-        let inflight = registry.gauge(
-            "specrepair_inflight",
-            "Requests currently executing in workers.",
-            &[],
-        );
-        let shed_total = registry.counter(
-            "specrepair_shed_total",
-            "Connections shed at admission.",
-            &[],
-        );
-        let deadline_exceeded_total = registry.counter(
-            "specrepair_deadline_exceeded_total",
-            "Repairs that exceeded their deadline.",
-            &[],
-        );
         ServerMetrics {
             started: Instant::now(),
-            registry,
-            queue_depth,
-            inflight,
-            shed_total,
-            deadline_exceeded_total,
+            queue_depth: Gauge::new(),
+            inflight: Gauge::new(),
+            shed_total: Counter::new(),
+            deadline_exceeded_total: Counter::new(),
+            requests: Mutex::default(),
+            latency: Mutex::default(),
         }
     }
 
     /// Counts one routed request with its response status.
     pub fn record_request(&self, endpoint: &str, status: u16) {
-        self.registry
-            .counter(
-                "specrepair_requests_total",
-                "Requests served, by endpoint and status.",
-                &[("endpoint", endpoint), ("status", &status.to_string())],
-            )
-            .inc();
+        let mut requests = self.requests.lock().expect(POISONED);
+        *slot(&mut requests, endpoint).entry(status).or_insert(0) += 1;
     }
 
     /// Counts one connection shed at admission (queue full → `503`).
@@ -110,26 +91,16 @@ impl ServerMetrics {
 
     /// Records one repair latency under the technique's label.
     pub fn record_latency(&self, technique: &str, micros: u64) {
-        self.registry
-            .histogram(
-                "specrepair_repair_latency_us",
-                "Repair latency in microseconds, by technique.",
-                &[("technique", technique)],
-            )
-            .record(micros);
+        slot(&mut self.latency.lock().expect(POISONED), technique).record(micros);
     }
 
     /// Total count of requests served for one endpoint (all statuses).
     pub fn requests_for(&self, endpoint: &str) -> u64 {
-        self.registry
-            .gather()
-            .iter()
-            .filter(|s| s.name == "specrepair_requests_total" && label(s, "endpoint") == endpoint)
-            .map(|s| match s.value {
-                SampleValue::Counter(n) => n,
-                _ => 0,
-            })
-            .sum()
+        self.requests
+            .lock()
+            .expect(POISONED)
+            .get(endpoint)
+            .map_or(0, |statuses| statuses.values().sum())
     }
 
     /// Adjusts the admission-queue depth gauge.
@@ -152,8 +123,8 @@ impl ServerMetrics {
         self.inflight.get_unsigned() as usize
     }
 
-    /// Assembles the typed snapshot of this daemon: the registry's own
-    /// series (requests, latencies, gauges) plus every subsystem section.
+    /// Assembles the typed snapshot of this daemon: its own counters,
+    /// request rows and latencies plus every subsystem section.
     ///
     /// One parameter per stats source is deliberate: every call site must
     /// decide explicitly what each section shows.
@@ -168,26 +139,28 @@ impl ServerMetrics {
         persist: Option<&PersistStats>,
         cluster: ClusterSection,
     ) -> Snapshot {
-        let mut requests: Vec<(String, Vec<(String, u64)>)> = Vec::new();
-        let mut latency: Vec<(String, Histogram)> = Vec::new();
-        // gather() is sorted by (name, labels), so request rows arrive
-        // grouped by endpoint and latencies sorted by technique.
-        for sample in self.registry.gather() {
-            match (sample.name.as_str(), &sample.value) {
-                ("specrepair_requests_total", SampleValue::Counter(n)) => {
-                    let endpoint = label(&sample, "endpoint");
-                    let status = label(&sample, "status");
-                    match requests.last_mut() {
-                        Some((e, rows)) if *e == endpoint => rows.push((status, *n)),
-                        _ => requests.push((endpoint, vec![(status, *n)])),
-                    }
-                }
-                ("specrepair_repair_latency_us", SampleValue::Histogram(h)) => {
-                    latency.push((label(&sample, "technique"), h.clone()));
-                }
-                _ => {}
-            }
-        }
+        // Both maps are sorted, so the rows come out grouped by endpoint
+        // and sorted by status and technique.
+        let requests = self
+            .requests
+            .lock()
+            .expect(POISONED)
+            .iter()
+            .map(|(endpoint, statuses)| {
+                let rows = statuses
+                    .iter()
+                    .map(|(status, count)| (status.to_string(), *count))
+                    .collect();
+                (endpoint.clone(), rows)
+            })
+            .collect();
+        let latency = self
+            .latency
+            .lock()
+            .expect(POISONED)
+            .iter()
+            .map(|(technique, h)| (technique.clone(), h.clone()))
+            .collect();
         Snapshot {
             uptime_ms: self.started.elapsed().as_millis() as u64,
             queue_depth: self.queue_depth.get_unsigned(),
@@ -204,38 +177,13 @@ impl ServerMetrics {
             transport: transport.section(),
         }
     }
-
-    /// Renders the `GET /metrics` JSON document — byte-compatible with
-    /// the pre-registry format (see the golden-file test).
-    #[allow(clippy::too_many_arguments)]
-    pub fn render(
-        &self,
-        oracle: &OracleCacheStats,
-        memoized_specs: usize,
-        dedup: &DedupStats,
-        incremental: &IncrementalStats,
-        transport: &TransportStats,
-        persist: Option<&PersistStats>,
-        cluster: ClusterSection,
-    ) -> String {
-        self.snapshot(
-            oracle,
-            memoized_specs,
-            dedup,
-            incremental,
-            transport,
-            persist,
-            cluster,
-        )
-        .to_json()
-    }
 }
 
 /// Per-phase busy-time totals since boot, aggregated from every traced
 /// repair request — the state behind `GET /trace/summary`. Empty (and the
 /// document says so) unless the daemon runs with tracing on. Carried as
-/// telemetry [`Counter`] cells: same lock-free discipline as the rest of
-/// the registry.
+/// telemetry [`Counter`] cells: same lock-free discipline as the
+/// daemon's scalar metrics.
 #[derive(Debug, Default)]
 pub struct TraceTotals {
     spans: Counter,
@@ -319,60 +267,6 @@ mod tests {
     use specrepair_telemetry::ShardClusterSection;
 
     #[test]
-    fn histogram_percentiles_are_ordered_and_bounded() {
-        let mut h = Histogram::default();
-        for micros in [100, 200, 300, 400, 500, 10_000, 20_000, 900_000] {
-            h.record(micros);
-        }
-        assert_eq!(h.count(), 8);
-        let p50 = h.percentile(0.50).unwrap();
-        let p90 = h.percentile(0.90).unwrap();
-        let p99 = h.percentile(0.99).unwrap();
-        assert!(p50 <= p90 && p90 <= p99, "{p50} {p90} {p99}");
-        assert!(p99 <= 900_000, "clamped to the observed max");
-        // p50 of the sample sits near the 300–500 µs cluster; the log₂
-        // bucket upper bound is 512 µs.
-        assert!((256..=1024).contains(&p50), "p50 = {p50}");
-    }
-
-    #[test]
-    fn histogram_empty_and_zero() {
-        let mut h = Histogram::default();
-        assert_eq!(h.percentile(0.5), None);
-        assert_eq!(h.mean_micros(), 0);
-        h.record(0); // clamped into the first bucket
-        assert_eq!(h.count(), 1);
-        assert!(h.percentile(0.99).is_some());
-    }
-
-    #[test]
-    fn histogram_single_sample_pins_every_percentile() {
-        let mut h = Histogram::default();
-        h.record(1_000);
-        // With one observation every quantile collapses to it: the bucket
-        // upper bound (1024) is clamped to the observed max.
-        for q in [0.0, 0.01, 0.5, 0.99, 1.0] {
-            assert_eq!(h.percentile(q), Some(1_000), "q = {q}");
-        }
-        assert_eq!(h.mean_micros(), 1_000);
-    }
-
-    #[test]
-    fn histogram_exact_bucket_boundary_lands_in_upper_bucket() {
-        // 1024 = 2^10 sits exactly on a bucket edge; buckets are
-        // half-open [2^i, 2^(i+1)), so it belongs to bucket 10 and the
-        // reported quantile is the clamped upper bound 1024, not 2048.
-        let mut h = Histogram::default();
-        h.record(1_024);
-        assert_eq!(h.percentile(0.5), Some(1_024));
-        // A second sample just below the edge stays in bucket 9, so the
-        // median drops to that bucket's upper bound.
-        h.record(1_023);
-        assert_eq!(h.percentile(0.5), Some(1_024));
-        assert_eq!(h.percentile(1.0), Some(1_024));
-    }
-
-    #[test]
     fn trace_totals_absorb_and_render() {
         use specrepair_trace::{AttrValue, Phase, SpanRecord};
         let parent = SpanRecord {
@@ -447,15 +341,17 @@ mod tests {
             clauses_total: 40,
             learned_clauses_retained: 5,
         };
-        let doc = m.render(
-            &OracleCacheStats::default(),
-            0,
-            &dedup,
-            &incremental,
-            &transport,
-            None,
-            ClusterSection::Off,
-        );
+        let doc = m
+            .snapshot(
+                &OracleCacheStats::default(),
+                0,
+                &dedup,
+                &incremental,
+                &transport,
+                None,
+                ClusterSection::Off,
+            )
+            .to_json();
         for needle in [
             "\"repair\"",
             "\"200\": 2",
@@ -500,15 +396,17 @@ mod tests {
             breaker_trips: 1,
             ..PersistStats::default()
         };
-        let doc = m.render(
-            &OracleCacheStats::default(),
-            0,
-            &DedupStats::default(),
-            &IncrementalStats::default(),
-            &TransportStats::new(),
-            Some(&persist),
-            ClusterSection::Off,
-        );
+        let doc = m
+            .snapshot(
+                &OracleCacheStats::default(),
+                0,
+                &DedupStats::default(),
+                &IncrementalStats::default(),
+                &TransportStats::new(),
+                Some(&persist),
+                ClusterSection::Off,
+            )
+            .to_json();
         for needle in [
             "\"persistent\"",
             "\"enabled\": true",
@@ -527,24 +425,26 @@ mod tests {
             remote_hits: 4,
             ..ShardClusterSection::default()
         });
-        let doc = m.render(
-            &OracleCacheStats::default(),
-            0,
-            &DedupStats::default(),
-            &IncrementalStats::default(),
-            &TransportStats::new(),
-            None,
-            cluster,
-        );
+        let doc = m
+            .snapshot(
+                &OracleCacheStats::default(),
+                0,
+                &DedupStats::default(),
+                &IncrementalStats::default(),
+                &TransportStats::new(),
+                None,
+                cluster,
+            )
+            .to_json();
         for needle in ["\"cluster\"", "\"role\": \"shard\"", "\"remote_hits\": 4"] {
             assert!(doc.contains(needle), "metrics missing {needle}:\n{doc}");
         }
     }
 
-    /// The legacy `GET /metrics` document must stay byte-identical across
-    /// the registry rebase. The golden file was generated by the
-    /// pre-registry renderer from exactly the inputs below; only the
-    /// timing-dependent `uptime_ms` line is normalized.
+    /// The legacy `GET /metrics` document must stay byte-identical. The
+    /// golden file was generated by the original hand-written renderer
+    /// from exactly the inputs below; only the timing-dependent
+    /// `uptime_ms` line is normalized.
     #[test]
     fn metrics_document_matches_pre_registry_golden() {
         let golden = include_str!("../testdata/metrics_golden.json");
@@ -628,15 +528,17 @@ mod tests {
             skipped_open: 0,
             open_breakers: 0,
         });
-        let doc = m.render(
-            &oracle,
-            6,
-            &dedup,
-            &incremental,
-            &transport,
-            Some(&persist),
-            cluster,
-        );
+        let doc = m
+            .snapshot(
+                &oracle,
+                6,
+                &dedup,
+                &incremental,
+                &transport,
+                Some(&persist),
+                cluster,
+            )
+            .to_json();
         let normalize = |text: &str| -> String {
             text.lines()
                 .map(|line| {

@@ -8,12 +8,15 @@
 //! 1. [`metric`] — the primitives: [`Counter`], [`Gauge`] and the log₂
 //!    [`Histogram`] (promoted from the server crate), all with lock-free
 //!    relaxed-atomic hot paths, plus the immutable [`HistogramSnapshot`].
-//! 2. [`registry`] — named, labeled families with idempotent static
-//!    registration and deterministic [`Registry::gather`] order.
+//! 2. [`registry`] — the series vocabulary: [`Sample`], [`SampleValue`],
+//!    [`MetricKind`] and the [`series_id`] text identity.
 //! 3. [`snapshot`] — the typed [`Snapshot`] of a whole daemon:
 //!    byte-compatible legacy JSON out ([`Snapshot::to_json`]), typed
 //!    decoding back in ([`Snapshot::from_json`]), and the canonical
-//!    flattened sample list ([`Snapshot::samples`]).
+//!    flattened sample list ([`Snapshot::samples`]). Each scalar of a flat
+//!    section is declared once — JSON key, Prometheus family, counter or
+//!    gauge, help text, required or optional — and all three walk those
+//!    declarations.
 //! 4. [`prom`] — Prometheus text exposition for `GET /metrics/prom`,
 //!    with an in-repo parser so the round trip is testable.
 //! 5. [`history`] — the fixed-capacity time-series ring behind
@@ -34,9 +37,8 @@ pub mod snapshot;
 pub use aggregate::{fleet_document, ShardScrape};
 pub use history::{History, HistorySample};
 pub use metric::{bucket_upper_micros, Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS};
-pub use registry::{series_id, MetricKind, Registry, Sample, SampleValue};
+pub use registry::{series_id, MetricKind, Sample, SampleValue};
 pub use snapshot::{
-    ClusterSection, DedupSection, IncrementalSection, MetricsDoc, OracleCacheSection,
-    PersistSection, RouterClusterSection, RouterShardRow, ShardClusterSection, Snapshot,
-    TransportSection,
+    ClusterSection, DedupSection, IncrementalSection, OracleCacheSection, PersistSection,
+    RouterClusterSection, RouterShardRow, ShardClusterSection, Snapshot, TransportSection,
 };

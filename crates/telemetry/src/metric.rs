@@ -39,9 +39,8 @@ pub fn bucket_upper_micros(bucket: usize) -> Option<u64> {
     }
 }
 
-/// A monotone counter. Cloning shares the underlying cell: the registry
-/// hands out clones of one registered counter, and every holder increments
-/// the same value.
+/// A monotone counter. Cloning shares the underlying cell: every holder of
+/// a clone increments the same value.
 #[derive(Debug, Clone, Default)]
 pub struct Counter {
     value: Arc<AtomicU64>,

@@ -16,95 +16,7 @@ use std::collections::BTreeMap;
 
 use crate::metric::{bucket_upper_micros, HistogramSnapshot, BUCKETS};
 use crate::registry::{MetricKind, Sample, SampleValue};
-use crate::snapshot::Snapshot;
-
-/// Help text for every canonical family ([`Snapshot::samples`] names).
-/// Unknown names render without a `# HELP` line.
-pub fn help_text(name: &str) -> &'static str {
-    match name {
-        "specrepair_uptime_ms" => "Milliseconds since the daemon booted.",
-        "specrepair_queue_depth" => "Requests waiting in the admission queue.",
-        "specrepair_inflight" => "Requests currently executing in workers.",
-        "specrepair_shed_total" => "Connections shed at admission.",
-        "specrepair_deadline_exceeded_total" => "Repairs that exceeded their deadline.",
-        "specrepair_requests_total" => "Requests served, by endpoint and status.",
-        "specrepair_repair_latency_us" => "Repair latency in microseconds, by technique.",
-        "specrepair_repair_latency_us_max" => {
-            "Maximum observed repair latency in microseconds, by technique."
-        }
-        "specrepair_oracle_hits_total" => "Oracle queries answered from the memo table.",
-        "specrepair_oracle_misses_total" => "Oracle queries that had to solve.",
-        "specrepair_oracle_solver_invocations_total" => "Analyzer invocations executed.",
-        "specrepair_oracle_errors_total" => "Oracle queries that ended in an analyzer error.",
-        "specrepair_oracle_evictions_total" => "Memoized entries evicted for capacity.",
-        "specrepair_oracle_hit_rate" => "Fraction of oracle queries answered from cache.",
-        "specrepair_oracle_memoized_specs" => "Memoized spec entries currently held.",
-        "specrepair_oracle_persist_hits_total" => "Verdicts answered by the persistent tier.",
-        "specrepair_oracle_collapsed_total" => "Queries collapsed onto an in-flight solve.",
-        "specrepair_dedup_hits_total" => "Candidate validations answered by the dedup registry.",
-        "specrepair_dedup_misses_total" => "First-of-fingerprint candidate validations.",
-        "specrepair_dedup_coalesced_total" => "Validations that waited on an in-flight solve.",
-        "specrepair_dedup_rate" => "Fraction of validations answered by the dedup registry.",
-        "specrepair_incremental_sessions_total" => "Incremental oracle sessions created.",
-        "specrepair_incremental_checks_total" => "Checks answered incrementally.",
-        "specrepair_incremental_fallbacks_total" => "Checks the incremental engine declined.",
-        "specrepair_incremental_activation_vars_total" => "Activation literals allocated.",
-        "specrepair_incremental_clause_reuse_rate" => "Fraction of per-check clauses reused.",
-        "specrepair_incremental_learned_clauses_retained_total" => {
-            "Learnt clauses carried between checks."
-        }
-        "specrepair_persist_enabled" => "Whether a persistent verdict tier is configured.",
-        "specrepair_persist_degraded" => "Whether the persistent tier is degraded.",
-        "specrepair_persist_preloaded" => "Entries recovered from disk at open.",
-        "specrepair_persist_quarantined" => "Corrupt or torn records skipped at open.",
-        "specrepair_persist_live_entries" => "Entries held in the persistent tier's memory.",
-        "specrepair_persist_disk_lines" => "Lines currently in the live log file.",
-        "specrepair_persist_disk_good" => "Valid records currently in the live log file.",
-        "specrepair_persist_lookups_total" => "Persistent-tier lookups.",
-        "specrepair_persist_hits_total" => "Persistent-tier lookups that found a verdict.",
-        "specrepair_persist_appends_total" => "Records durably appended.",
-        "specrepair_persist_append_errors_total" => "Appends that failed.",
-        "specrepair_persist_skipped_degraded_total" => "Records skipped while degraded.",
-        "specrepair_persist_breaker_trips_total" => "Disk-breaker trips.",
-        "specrepair_persist_compactions_total" => "Completed log compactions.",
-        "specrepair_persist_compaction_failures_total" => "Failed compaction attempts.",
-        "specrepair_persist_injected_write_errors_total" => "Injected write errors (chaos).",
-        "specrepair_persist_injected_short_writes_total" => "Injected short writes (chaos).",
-        "specrepair_persist_injected_bit_flips_total" => "Injected bit flips (chaos).",
-        "specrepair_cluster_enabled" => "Whether cluster mode is enabled, labeled by role.",
-        "specrepair_cluster_shard_id" => "This daemon's index into the peer list.",
-        "specrepair_cluster_peers" => "Cluster size.",
-        "specrepair_remote_lookups_total" => "Remote verdict lookups attempted.",
-        "specrepair_remote_hits_total" => "Remote lookups a peer answered with a verdict.",
-        "specrepair_remote_misses_total" => "Remote lookups answered unknown.",
-        "specrepair_remote_hit_rate" => "Fraction of remote lookups that hit.",
-        "specrepair_remote_puts_total" => "Write-through records sent to owning peers.",
-        "specrepair_remote_self_owned_total" => "Calls skipped because this node owns the key.",
-        "specrepair_remote_transport_errors_total" => "Remote calls that failed in transport.",
-        "specrepair_remote_retries_total" => "Remote transport retries.",
-        "specrepair_remote_breaker_trips_total" => "Peer-breaker trips.",
-        "specrepair_remote_skipped_open_total" => "Remote calls skipped on an open breaker.",
-        "specrepair_remote_open_breakers" => "Peer breakers currently open.",
-        "specrepair_router_forwarded_total" => "Requests forwarded, by shard.",
-        "specrepair_router_retries_total" => "Forward retries, by shard.",
-        "specrepair_router_failures_total" => "Forwards that failed after retry, by shard.",
-        "specrepair_router_breaker_open" => "Whether the shard's breaker is open, by shard.",
-        "specrepair_router_degraded_local_solves_total" => {
-            "Requests the router solved itself because the owner was down."
-        }
-        "specrepair_router_breaker_trips_total" => "Shard-breaker trips at the router.",
-        "specrepair_router_skipped_open_total" => "Forwards skipped on an open shard breaker.",
-        "specrepair_transport_retries_total" => "LM transport attempts retried.",
-        "specrepair_transport_giveups_total" => "LM calls whose retry budget was exhausted.",
-        "specrepair_transport_breaker_trips_total" => "LM circuit-breaker trips.",
-        "specrepair_transport_breaker_rejections_total" => "LM calls rejected by an open breaker.",
-        "specrepair_transport_cancelled_backoffs_total" => {
-            "LM backoff waits cut short by cancellation."
-        }
-        "specrepair_transport_injected_faults_total" => "Injected LM faults, by kind.",
-        _ => "",
-    }
-}
+use crate::snapshot::{help_text, Snapshot};
 
 /// Sorts samples by family name, then label set — the canonical order
 /// both [`render`] and [`parse`] produce.
@@ -484,7 +396,7 @@ pub fn parse(text: &str) -> Result<Vec<Sample>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::tests::rich_snapshot;
+    use crate::snapshot::tests::{rich_snapshot, router_snapshot};
 
     #[test]
     fn render_parse_round_trips_every_sample_exactly() {
@@ -552,6 +464,27 @@ h_bucket{le=\"4\"} 3
                 "no help text for `{}`",
                 sample.name
             );
+        }
+    }
+
+    /// The exposition text is pinned byte for byte: family names, help
+    /// strings, types, label order and value formatting. Scrapers key on
+    /// all of these, so regenerate the files only for an intended change
+    /// to the exposition.
+    #[test]
+    fn exposition_matches_the_golden_files() {
+        let cases = [
+            (
+                rich_snapshot(),
+                include_str!("../testdata/prom_rich_golden.txt"),
+            ),
+            (
+                router_snapshot(),
+                include_str!("../testdata/prom_router_golden.txt"),
+            ),
+        ];
+        for (snapshot, golden) in cases {
+            assert_eq!(render(&snapshot), golden);
         }
     }
 }

@@ -6,131 +6,325 @@
 //!   order, pretty-printing) — pinned by a golden-file test in the server
 //!   crate. Subsystems construct their own sections (the `section()`
 //!   conversions on `OracleCacheStats`, `DedupStats`, `TransportStats`, …)
-//!   so no field is hand-threaded through the server anymore.
+//!   so no field is hand-threaded through the server.
 //! - [`Snapshot::samples`] flattens the same state into typed
 //!   [`Sample`]s — the canonical series list behind the Prometheus
 //!   exposition ([`crate::prom`]), the history ring ([`crate::history`])
 //!   and fleet aggregation ([`crate::aggregate`]).
 //! - [`Snapshot::from_json`] decodes a legacy document back into a
-//!   `Snapshot` — the typed replacement for loadgen's stringly
-//!   `section.field` parsers, with the same descriptive errors. Latency
-//!   histograms are *not* recovered (the legacy document carries only
-//!   their summaries); decoded snapshots exist to reconcile counters.
+//!   `Snapshot`, with a description of the first expectation a malformed
+//!   body violates. Latency histograms are *not* recovered (the legacy
+//!   document carries only their summaries); decoded snapshots exist to
+//!   reconcile counters.
+//!
+//! Every scalar of a flat section is declared once, in a `section!` field
+//! line naming its JSON key, Prometheus family, counter or gauge, whether
+//! `from_json` requires it, and its help text. The JSON document, the
+//! sample list, the exposition's `# HELP` lookup and the decoder all walk
+//! those declarations. Only the labeled series — requests, latencies,
+//! router shard rows, injected LM faults and the role-labeled
+//! `cluster_enabled` gauge — and the derived `persist_enabled` gauge are
+//! written by hand, each with its help text in a `Family` constant.
 
 use serde::Value;
 
 use crate::metric::HistogramSnapshot;
-use crate::registry::{Sample, SampleValue};
+use crate::registry::{MetricKind, Sample, SampleValue};
 
-/// The `oracle_cache` section: the shared memoizing oracle's counters.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct OracleCacheSection {
-    /// Queries answered from the memo table.
-    pub hits: u64,
-    /// Queries that had to solve.
-    pub misses: u64,
-    /// Underlying analyzer invocations actually executed.
-    pub solver_invocations: u64,
-    /// Queries whose answer was an analyzer error.
-    pub errors: u64,
-    /// Memoized entries dropped to honor the per-shard capacity.
-    pub evictions: u64,
-    /// Fraction of queries answered from the cache.
-    pub hit_rate: f64,
-    /// Memoized spec entries currently held.
-    pub memoized_specs: u64,
-    /// Verdict queries answered by the persistent disk tier.
-    pub persist_hits: u64,
-    /// Queries collapsed onto an identical in-flight solve (singleflight).
-    pub collapsed: u64,
+/// A declared field's value, as the JSON document and the sample list
+/// carry it.
+#[derive(Debug, Clone, Copy)]
+enum Scalar {
+    U64(u64),
+    F64(f64),
+    Bool(bool),
 }
 
-/// The `candidate_dedup` section: the cross-technique candidate registry.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DedupSection {
-    /// Validations answered from the registry.
-    pub hits: u64,
-    /// First-of-fingerprint validations that solved.
-    pub misses: u64,
-    /// Hits that waited on a concurrent in-flight solve.
-    pub coalesced: u64,
-    /// `hits / (hits + misses)`.
-    pub rate: f64,
+impl Scalar {
+    fn to_value(self) -> Value {
+        match self {
+            Scalar::U64(n) => Value::U64(n),
+            Scalar::F64(v) => Value::F64(v),
+            Scalar::Bool(b) => Value::Bool(b),
+        }
+    }
+
+    fn to_gauge(self) -> f64 {
+        match self {
+            Scalar::U64(n) => n as f64,
+            Scalar::F64(v) => v,
+            Scalar::Bool(b) => u64::from(b) as f64,
+        }
+    }
 }
 
-/// The `incremental` section: the incremental oracle's counters.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct IncrementalSection {
-    /// Persistent sessions created.
-    pub sessions: u64,
-    /// Candidate checks answered incrementally.
-    pub checks: u64,
-    /// Checks the engine declined (cold path answered).
-    pub fallbacks: u64,
-    /// Activation literals allocated.
-    pub activation_vars: u64,
-    /// Fraction of per-check clauses retained from earlier candidates.
-    pub clause_reuse_rate: f64,
-    /// Learnt clauses carried between checks.
-    pub learned_clauses_retained: u64,
+/// The Rust types a declared field may have.
+trait FieldValue: Sized {
+    fn scalar(&self) -> Scalar;
+
+    /// Reads the field from a document: numbers default to 0 and flags to
+    /// false unless `required`.
+    fn decode(
+        doc: &MetricsDoc,
+        section: Option<&str>,
+        key: &str,
+        required: bool,
+    ) -> Result<Self, String>;
 }
 
-/// The `persistent` section, present when the daemon runs a `--cache-dir`
-/// verdict tier.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PersistSection {
-    /// Whether the tier is currently degraded (breaker open).
-    pub degraded: bool,
-    /// Entries recovered from disk at open.
-    pub preloaded: u64,
-    /// Corrupt or torn records skipped.
-    pub quarantined: u64,
-    /// Entries currently held in memory.
-    pub live_entries: u64,
-    /// Lines currently in the live log file.
-    pub disk_lines: u64,
-    /// Valid records currently in the live log file.
-    pub disk_good: u64,
-    /// Store lookups in total.
-    pub lookups: u64,
-    /// Store lookups that found a verdict.
-    pub hits: u64,
-    /// Records durably appended.
-    pub appends: u64,
-    /// Appends that failed.
-    pub append_errors: u64,
-    /// Records skipped while degraded.
-    pub skipped_degraded: u64,
-    /// Times the disk breaker tripped open.
-    pub breaker_trips: u64,
-    /// Completed compactions.
-    pub compactions: u64,
-    /// Failed compaction attempts.
-    pub compaction_failures: u64,
-    /// Injected write errors (chaos mode).
-    pub injected_write_errors: u64,
-    /// Injected short writes (chaos mode).
-    pub injected_short_writes: u64,
-    /// Injected bit flips (chaos mode).
-    pub injected_bit_flips: u64,
+impl FieldValue for u64 {
+    fn scalar(&self) -> Scalar {
+        Scalar::U64(*self)
+    }
+
+    fn decode(
+        doc: &MetricsDoc,
+        section: Option<&str>,
+        key: &str,
+        required: bool,
+    ) -> Result<u64, String> {
+        doc.number(section, key, required).map(|n| n as u64)
+    }
 }
 
-/// The `transport` section: the LM resilience layer's counters.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TransportSection {
-    /// Retried attempts.
-    pub retries: u64,
-    /// Calls whose retry budget was exhausted.
-    pub giveups: u64,
-    /// Circuit-breaker trips.
-    pub breaker_trips: u64,
-    /// Calls rejected by an open breaker.
-    pub breaker_rejections: u64,
-    /// Backoff waits cut short by cancellation.
-    pub cancelled_backoffs: u64,
-    /// Injected-fault counts per kind label, in taxonomy order (the
-    /// `total` field of the document is derived, not stored).
-    pub injected_faults: Vec<(String, u64)>,
+impl FieldValue for f64 {
+    fn scalar(&self) -> Scalar {
+        Scalar::F64(*self)
+    }
+
+    fn decode(
+        doc: &MetricsDoc,
+        section: Option<&str>,
+        key: &str,
+        required: bool,
+    ) -> Result<f64, String> {
+        doc.number(section, key, required)
+    }
+}
+
+impl FieldValue for bool {
+    fn scalar(&self) -> Scalar {
+        Scalar::Bool(*self)
+    }
+
+    fn decode(doc: &MetricsDoc, section: Option<&str>, key: &str, _: bool) -> Result<bool, String> {
+        Ok(doc.flag(section, key))
+    }
+}
+
+/// One declared scalar of a flat section `S`.
+pub(crate) struct Field<S> {
+    /// Key in the JSON document.
+    key: &'static str,
+    /// Prometheus family name.
+    family: &'static str,
+    /// Counter (a `u64`) or gauge.
+    kind: MetricKind,
+    /// The family's `# HELP` text.
+    help: &'static str,
+    get: fn(&S) -> Scalar,
+    decode: fn(&mut S, &MetricsDoc, Option<&str>) -> Result<(), String>,
+}
+
+impl<S> Field<S> {
+    fn sample(&self, section: &S) -> Sample {
+        let value = match (self.kind, (self.get)(section)) {
+            (MetricKind::Counter, Scalar::U64(n)) => SampleValue::Counter(n),
+            (MetricKind::Gauge, v) => SampleValue::Gauge(v.to_gauge()),
+            _ => unreachable!("`{}` is declared as a counter of a non-u64", self.family),
+        };
+        Sample {
+            name: self.family.to_string(),
+            labels: Vec::new(),
+            value,
+        }
+    }
+}
+
+/// `required` / `optional` → whether [`Snapshot::from_json`] fails on a
+/// missing field.
+macro_rules! need {
+    (required) => {
+        true
+    };
+    (optional) => {
+        false
+    };
+}
+
+/// Declares a flat section: the struct and its [`Field`] table. Each field
+/// line is that metric's only declaration,
+///
+/// ```text
+/// field: type, Counter|Gauge, "json_key", "prometheus_family", required|optional,
+///     "Help text, which is also the field's rustdoc.";
+/// ```
+///
+/// in document order. An optional trailing `extra { .. }` block declares
+/// the section's hand-written (labeled or nested) fields.
+macro_rules! section {
+    (
+        $(#[$attr:meta])*
+        pub struct $name:ident {
+            $($field:ident: $ty:ty, $kind:ident, $key:literal, $family:literal, $need:ident,
+                $help:literal;)*
+        }
+        $(extra {
+            $($(#[$xattr:meta])* pub $xfield:ident: $xty:ty,)*
+        })?
+    ) => {
+        $(#[$attr])*
+        #[derive(Debug, Clone, Default, PartialEq)]
+        pub struct $name {
+            $(#[doc = $help] pub $field: $ty,)*
+            $($($(#[$xattr])* pub $xfield: $xty,)*)?
+        }
+
+        impl $name {
+            /// The declared scalar fields, in document order.
+            pub(crate) const FIELDS: &'static [Field<$name>] = &[$(Field {
+                key: $key,
+                family: $family,
+                kind: MetricKind::$kind,
+                help: $help,
+                get: |s| s.$field.scalar(),
+                decode: |s, doc, section| {
+                    s.$field = FieldValue::decode(doc, section, $key, need!($need))?;
+                    Ok(())
+                },
+            },)*];
+        }
+    };
+}
+
+section! {
+    /// The `oracle_cache` section: the shared memoizing oracle's counters.
+    pub struct OracleCacheSection {
+        hits: u64, Counter, "hits", "specrepair_oracle_hits_total", required,
+            "Oracle queries answered from the memo table.";
+        misses: u64, Counter, "misses", "specrepair_oracle_misses_total", required,
+            "Oracle queries that had to solve.";
+        solver_invocations: u64, Counter, "solver_invocations",
+            "specrepair_oracle_solver_invocations_total", optional,
+            "Analyzer invocations executed.";
+        errors: u64, Counter, "errors", "specrepair_oracle_errors_total", optional,
+            "Oracle queries that ended in an analyzer error.";
+        evictions: u64, Counter, "evictions", "specrepair_oracle_evictions_total", optional,
+            "Memoized entries evicted for capacity.";
+        hit_rate: f64, Gauge, "hit_rate", "specrepair_oracle_hit_rate", required,
+            "Fraction of oracle queries answered from cache.";
+        memoized_specs: u64, Gauge, "memoized_specs", "specrepair_oracle_memoized_specs", optional,
+            "Memoized spec entries currently held.";
+        persist_hits: u64, Counter, "persist_hits", "specrepair_oracle_persist_hits_total",
+            optional, "Verdicts answered by the persistent tier.";
+        collapsed: u64, Counter, "collapsed", "specrepair_oracle_collapsed_total", optional,
+            "Queries collapsed onto an in-flight solve.";
+    }
+}
+
+section! {
+    /// The `candidate_dedup` section: the cross-technique candidate registry.
+    pub struct DedupSection {
+        hits: u64, Counter, "dedup_hits", "specrepair_dedup_hits_total", required,
+            "Candidate validations answered by the dedup registry.";
+        misses: u64, Counter, "dedup_misses", "specrepair_dedup_misses_total", optional,
+            "First-of-fingerprint candidate validations.";
+        coalesced: u64, Counter, "dedup_coalesced", "specrepair_dedup_coalesced_total", optional,
+            "Validations that waited on an in-flight solve.";
+        rate: f64, Gauge, "dedup_rate", "specrepair_dedup_rate", required,
+            "Fraction of validations answered by the dedup registry.";
+    }
+}
+
+section! {
+    /// The `incremental` section: the incremental oracle's counters.
+    pub struct IncrementalSection {
+        sessions: u64, Counter, "incremental_sessions", "specrepair_incremental_sessions_total",
+            optional, "Incremental oracle sessions created.";
+        checks: u64, Counter, "incremental_checks", "specrepair_incremental_checks_total",
+            required, "Checks answered incrementally.";
+        fallbacks: u64, Counter, "incremental_fallbacks",
+            "specrepair_incremental_fallbacks_total", optional,
+            "Checks the incremental engine declined.";
+        activation_vars: u64, Counter, "activation_vars",
+            "specrepair_incremental_activation_vars_total", optional,
+            "Activation literals allocated.";
+        clause_reuse_rate: f64, Gauge, "clause_reuse_rate",
+            "specrepair_incremental_clause_reuse_rate", required,
+            "Fraction of per-check clauses reused.";
+        learned_clauses_retained: u64, Counter, "learned_clauses_retained",
+            "specrepair_incremental_learned_clauses_retained_total", optional,
+            "Learnt clauses carried between checks.";
+    }
+}
+
+section! {
+    /// The `persistent` section, present when the daemon runs a
+    /// `--cache-dir` verdict tier.
+    pub struct PersistSection {
+        degraded: bool, Gauge, "degraded", "specrepair_persist_degraded", optional,
+            "Whether the persistent tier is degraded.";
+        preloaded: u64, Gauge, "preloaded", "specrepair_persist_preloaded", required,
+            "Entries recovered from disk at open.";
+        quarantined: u64, Gauge, "quarantined", "specrepair_persist_quarantined", optional,
+            "Corrupt or torn records skipped at open.";
+        live_entries: u64, Gauge, "live_entries", "specrepair_persist_live_entries", optional,
+            "Entries held in the persistent tier's memory.";
+        disk_lines: u64, Gauge, "disk_lines", "specrepair_persist_disk_lines", optional,
+            "Lines currently in the live log file.";
+        disk_good: u64, Gauge, "disk_good", "specrepair_persist_disk_good", optional,
+            "Valid records currently in the live log file.";
+        lookups: u64, Counter, "lookups", "specrepair_persist_lookups_total", optional,
+            "Persistent-tier lookups.";
+        hits: u64, Counter, "hits", "specrepair_persist_hits_total", optional,
+            "Persistent-tier lookups that found a verdict.";
+        appends: u64, Counter, "appends", "specrepair_persist_appends_total", optional,
+            "Records durably appended.";
+        append_errors: u64, Counter, "append_errors", "specrepair_persist_append_errors_total",
+            optional, "Appends that failed.";
+        skipped_degraded: u64, Counter, "skipped_degraded",
+            "specrepair_persist_skipped_degraded_total", optional,
+            "Records skipped while degraded.";
+        breaker_trips: u64, Counter, "breaker_trips", "specrepair_persist_breaker_trips_total",
+            optional, "Disk-breaker trips.";
+        compactions: u64, Counter, "compactions", "specrepair_persist_compactions_total",
+            optional, "Completed log compactions.";
+        compaction_failures: u64, Counter, "compaction_failures",
+            "specrepair_persist_compaction_failures_total", optional,
+            "Failed compaction attempts.";
+        injected_write_errors: u64, Counter, "injected_write_errors",
+            "specrepair_persist_injected_write_errors_total", optional,
+            "Injected write errors (chaos).";
+        injected_short_writes: u64, Counter, "injected_short_writes",
+            "specrepair_persist_injected_short_writes_total", optional,
+            "Injected short writes (chaos).";
+        injected_bit_flips: u64, Counter, "injected_bit_flips",
+            "specrepair_persist_injected_bit_flips_total", optional,
+            "Injected bit flips (chaos).";
+    }
+}
+
+section! {
+    /// The `transport` section: the LM resilience layer's counters.
+    pub struct TransportSection {
+        retries: u64, Counter, "retries", "specrepair_transport_retries_total", optional,
+            "LM transport attempts retried.";
+        giveups: u64, Counter, "giveups", "specrepair_transport_giveups_total", optional,
+            "LM calls whose retry budget was exhausted.";
+        breaker_trips: u64, Counter, "breaker_trips", "specrepair_transport_breaker_trips_total",
+            optional, "LM circuit-breaker trips.";
+        breaker_rejections: u64, Counter, "breaker_rejections",
+            "specrepair_transport_breaker_rejections_total", optional,
+            "LM calls rejected by an open breaker.";
+        cancelled_backoffs: u64, Counter, "cancelled_backoffs",
+            "specrepair_transport_cancelled_backoffs_total", optional,
+            "LM backoff waits cut short by cancellation.";
+    }
+    extra {
+        /// Injected-fault counts per kind label, in taxonomy order (the
+        /// `total` field of the document is derived, not stored).
+        pub injected_faults: Vec<(String, u64)>,
+    }
 }
 
 impl TransportSection {
@@ -140,35 +334,37 @@ impl TransportSection {
     }
 }
 
-/// The `cluster` section of a shard daemon.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ShardClusterSection {
-    /// This daemon's index into the peer list.
-    pub shard_id: u64,
-    /// Cluster size.
-    pub peers: u64,
-    /// Remote lookups attempted.
-    pub remote_lookups: u64,
-    /// Lookups a peer answered with a verdict.
-    pub remote_hits: u64,
-    /// Lookups a peer answered with "unknown fingerprint".
-    pub remote_misses: u64,
-    /// `remote_hits / remote_lookups`.
-    pub remote_hit_rate: f64,
-    /// Write-through records sent to owning peers.
-    pub remote_puts: u64,
-    /// Lookups/records skipped because this node owns the key.
-    pub self_owned: u64,
-    /// Calls that failed in transport.
-    pub transport_errors: u64,
-    /// Transport retries taken.
-    pub retries: u64,
-    /// Peer-breaker trips.
-    pub breaker_trips: u64,
-    /// Calls skipped because a peer breaker was open.
-    pub skipped_open: u64,
-    /// Peer breakers currently open.
-    pub open_breakers: u64,
+section! {
+    /// The `cluster` section of a shard daemon.
+    pub struct ShardClusterSection {
+        shard_id: u64, Gauge, "shard_id", "specrepair_cluster_shard_id", optional,
+            "This daemon's index into the peer list.";
+        peers: u64, Gauge, "peers", "specrepair_cluster_peers", optional,
+            "Cluster size.";
+        remote_lookups: u64, Counter, "remote_lookups", "specrepair_remote_lookups_total",
+            optional, "Remote verdict lookups attempted.";
+        remote_hits: u64, Counter, "remote_hits", "specrepair_remote_hits_total", optional,
+            "Remote lookups a peer answered with a verdict.";
+        remote_misses: u64, Counter, "remote_misses", "specrepair_remote_misses_total", optional,
+            "Remote lookups answered unknown.";
+        remote_hit_rate: f64, Gauge, "remote_hit_rate", "specrepair_remote_hit_rate", optional,
+            "Fraction of remote lookups that hit.";
+        remote_puts: u64, Counter, "remote_puts", "specrepair_remote_puts_total", optional,
+            "Write-through records sent to owning peers.";
+        self_owned: u64, Counter, "self_owned", "specrepair_remote_self_owned_total", optional,
+            "Calls skipped because this node owns the key.";
+        transport_errors: u64, Counter, "transport_errors",
+            "specrepair_remote_transport_errors_total", optional,
+            "Remote calls that failed in transport.";
+        retries: u64, Counter, "retries", "specrepair_remote_retries_total", optional,
+            "Remote transport retries.";
+        breaker_trips: u64, Counter, "breaker_trips", "specrepair_remote_breaker_trips_total",
+            optional, "Peer-breaker trips.";
+        skipped_open: u64, Counter, "skipped_open", "specrepair_remote_skipped_open_total",
+            optional, "Remote calls skipped on an open breaker.";
+        open_breakers: u64, Gauge, "open_breakers", "specrepair_remote_open_breakers", optional,
+            "Peer breakers currently open.";
+    }
 }
 
 /// One shard row of the router's `cluster.shards` map.
@@ -186,17 +382,21 @@ pub struct RouterShardRow {
     pub breaker_open: bool,
 }
 
-/// The `cluster` section of a router.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RouterClusterSection {
-    /// Per-shard forwarding counters, in ring order.
-    pub shards: Vec<RouterShardRow>,
-    /// Requests the router solved itself because the owner was down.
-    pub degraded_local_solves: u64,
-    /// Shard-breaker trips.
-    pub breaker_trips: u64,
-    /// Forwards skipped because the owner's breaker was open.
-    pub skipped_open: u64,
+section! {
+    /// The `cluster` section of a router.
+    pub struct RouterClusterSection {
+        degraded_local_solves: u64, Counter, "degraded_local_solves",
+            "specrepair_router_degraded_local_solves_total", optional,
+            "Requests the router solved itself because the owner was down.";
+        breaker_trips: u64, Counter, "breaker_trips", "specrepair_router_breaker_trips_total",
+            optional, "Shard-breaker trips at the router.";
+        skipped_open: u64, Counter, "skipped_open", "specrepair_router_skipped_open_total",
+            optional, "Forwards skipped on an open shard breaker.";
+    }
+    extra {
+        /// Per-shard forwarding counters, in ring order.
+        pub shards: Vec<RouterShardRow>,
+    }
 }
 
 /// The `cluster` section: off, a shard's view, or a router's view.
@@ -211,36 +411,154 @@ pub enum ClusterSection {
     Router(RouterClusterSection),
 }
 
-/// The complete typed metrics snapshot of one daemon or router.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Snapshot {
-    /// Milliseconds since boot.
-    pub uptime_ms: u64,
-    /// Current admission-queue depth.
-    pub queue_depth: u64,
-    /// Requests currently executing in workers.
-    pub inflight: u64,
-    /// Connections shed at admission.
-    pub shed_total: u64,
-    /// Repairs that hit their deadline.
-    pub deadline_exceeded_total: u64,
-    /// Request counts: endpoint → `(status, count)` rows, both sorted.
-    pub requests: Vec<(String, Vec<(String, u64)>)>,
-    /// Per-technique repair latency histograms, sorted by label.
-    pub latency: Vec<(String, HistogramSnapshot)>,
-    /// The shared oracle's cache counters.
-    pub oracle_cache: OracleCacheSection,
-    /// The candidate-dedup registry's counters.
-    pub candidate_dedup: DedupSection,
-    /// The incremental oracle's counters.
-    pub incremental: IncrementalSection,
-    /// The persistent verdict tier's counters (`None` renders
-    /// `{"enabled": false}`).
-    pub persistent: Option<PersistSection>,
-    /// The cluster section.
-    pub cluster: ClusterSection,
-    /// The LM resilience layer's counters.
-    pub transport: TransportSection,
+section! {
+    /// The complete typed metrics snapshot of one daemon or router.
+    pub struct Snapshot {
+        uptime_ms: u64, Gauge, "uptime_ms", "specrepair_uptime_ms", optional,
+            "Milliseconds since the daemon booted.";
+        queue_depth: u64, Gauge, "queue_depth", "specrepair_queue_depth", optional,
+            "Requests waiting in the admission queue.";
+        inflight: u64, Gauge, "inflight", "specrepair_inflight", optional,
+            "Requests currently executing in workers.";
+        shed_total: u64, Counter, "shed_total", "specrepair_shed_total", optional,
+            "Connections shed at admission.";
+        deadline_exceeded_total: u64, Counter, "deadline_exceeded_total",
+            "specrepair_deadline_exceeded_total", optional,
+            "Repairs that exceeded their deadline.";
+    }
+    extra {
+        /// Request counts: endpoint → `(status, count)` rows, both sorted.
+        pub requests: Vec<(String, Vec<(String, u64)>)>,
+        /// Per-technique repair latency histograms, sorted by label.
+        pub latency: Vec<(String, HistogramSnapshot)>,
+        /// The shared oracle's cache counters.
+        pub oracle_cache: OracleCacheSection,
+        /// The candidate-dedup registry's counters.
+        pub candidate_dedup: DedupSection,
+        /// The incremental oracle's counters.
+        pub incremental: IncrementalSection,
+        /// The persistent verdict tier's counters (`None` renders
+        /// `{"enabled": false}`).
+        pub persistent: Option<PersistSection>,
+        /// The cluster section.
+        pub cluster: ClusterSection,
+        /// The LM resilience layer's counters.
+        pub transport: TransportSection,
+    }
+}
+
+/// A hand-written labeled family: its name and `# HELP` text.
+struct Family {
+    name: &'static str,
+    help: &'static str,
+}
+
+impl Family {
+    fn sample(&self, labels: &[(&str, &str)], value: SampleValue) -> Sample {
+        Sample {
+            name: self.name.to_string(),
+            labels: labels
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+            value,
+        }
+    }
+}
+
+const REQUESTS: Family = Family {
+    name: "specrepair_requests_total",
+    help: "Requests served, by endpoint and status.",
+};
+const LATENCY: Family = Family {
+    name: "specrepair_repair_latency_us",
+    help: "Repair latency in microseconds, by technique.",
+};
+const LATENCY_MAX: Family = Family {
+    name: "specrepair_repair_latency_us_max",
+    help: "Maximum observed repair latency in microseconds, by technique.",
+};
+const PERSIST_ENABLED: Family = Family {
+    name: "specrepair_persist_enabled",
+    help: "Whether a persistent verdict tier is configured.",
+};
+const CLUSTER_ENABLED: Family = Family {
+    name: "specrepair_cluster_enabled",
+    help: "Whether cluster mode is enabled, labeled by role.",
+};
+const ROUTER_FORWARDED: Family = Family {
+    name: "specrepair_router_forwarded_total",
+    help: "Requests forwarded, by shard.",
+};
+const ROUTER_RETRIES: Family = Family {
+    name: "specrepair_router_retries_total",
+    help: "Forward retries, by shard.",
+};
+const ROUTER_FAILURES: Family = Family {
+    name: "specrepair_router_failures_total",
+    help: "Forwards that failed after retry, by shard.",
+};
+const ROUTER_BREAKER_OPEN: Family = Family {
+    name: "specrepair_router_breaker_open",
+    help: "Whether the shard's breaker is open, by shard.",
+};
+const INJECTED_FAULTS: Family = Family {
+    name: "specrepair_transport_injected_faults_total",
+    help: "Injected LM faults, by kind.",
+};
+
+/// Every hand-written family, for the `# HELP` lookup.
+const LABELED: [Family; 10] = [
+    REQUESTS,
+    LATENCY,
+    LATENCY_MAX,
+    PERSIST_ENABLED,
+    CLUSTER_ENABLED,
+    ROUTER_FORWARDED,
+    ROUTER_RETRIES,
+    ROUTER_FAILURES,
+    ROUTER_BREAKER_OPEN,
+    INJECTED_FAULTS,
+];
+
+/// The help text of a family [`Snapshot::samples`] emits; empty for an
+/// unknown name.
+pub(crate) fn help_text(family: &str) -> &'static str {
+    fn find<S>(fields: &[Field<S>], family: &str) -> Option<&'static str> {
+        fields.iter().find(|f| f.family == family).map(|f| f.help)
+    }
+    find(Snapshot::FIELDS, family)
+        .or_else(|| find(OracleCacheSection::FIELDS, family))
+        .or_else(|| find(DedupSection::FIELDS, family))
+        .or_else(|| find(IncrementalSection::FIELDS, family))
+        .or_else(|| find(PersistSection::FIELDS, family))
+        .or_else(|| find(ShardClusterSection::FIELDS, family))
+        .or_else(|| find(RouterClusterSection::FIELDS, family))
+        .or_else(|| find(TransportSection::FIELDS, family))
+        .or_else(|| LABELED.iter().find(|f| f.name == family).map(|f| f.help))
+        .unwrap_or("")
+}
+
+fn entry(key: &str, value: Value) -> (String, Value) {
+    (key.to_string(), value)
+}
+
+/// A section's declared fields as JSON entries, after its `head` entries.
+fn entries<S>(
+    mut head: Vec<(String, Value)>,
+    section: &S,
+    fields: &[Field<S>],
+) -> Vec<(String, Value)> {
+    head.extend(
+        fields
+            .iter()
+            .map(|f| entry(f.key, (f.get)(section).to_value())),
+    );
+    head
+}
+
+fn push_fields<S>(out: &mut Vec<Sample>, section: &S, fields: &[Field<S>]) {
+    out.extend(fields.iter().map(|f| f.sample(section)));
 }
 
 impl Snapshot {
@@ -252,194 +570,83 @@ impl Snapshot {
 
     /// The document as a JSON value tree.
     pub fn to_value(&self) -> Value {
+        let enabled = |on: bool| entry("enabled", Value::Bool(on));
+        let role = |name: &str| entry("role", Value::Str(name.to_string()));
         let requests = Value::Map(
             self.requests
                 .iter()
                 .map(|(endpoint, statuses)| {
-                    (
-                        endpoint.clone(),
-                        Value::Map(
-                            statuses
-                                .iter()
-                                .map(|(status, count)| (status.clone(), Value::U64(*count)))
-                                .collect(),
-                        ),
-                    )
+                    let counts = statuses
+                        .iter()
+                        .map(|(status, count)| entry(status, Value::U64(*count)))
+                        .collect();
+                    entry(endpoint, Value::Map(counts))
                 })
                 .collect(),
         );
         let latency = Value::Map(
             self.latency
                 .iter()
-                .map(|(technique, h)| (technique.clone(), h.to_value()))
+                .map(|(technique, h)| entry(technique, h.to_value()))
                 .collect(),
         );
-        let o = &self.oracle_cache;
-        let oracle_value = Value::Map(vec![
-            ("hits".to_string(), Value::U64(o.hits)),
-            ("misses".to_string(), Value::U64(o.misses)),
-            (
-                "solver_invocations".to_string(),
-                Value::U64(o.solver_invocations),
-            ),
-            ("errors".to_string(), Value::U64(o.errors)),
-            ("evictions".to_string(), Value::U64(o.evictions)),
-            ("hit_rate".to_string(), Value::F64(o.hit_rate)),
-            ("memoized_specs".to_string(), Value::U64(o.memoized_specs)),
-            ("persist_hits".to_string(), Value::U64(o.persist_hits)),
-            ("collapsed".to_string(), Value::U64(o.collapsed)),
-        ]);
-        let d = &self.candidate_dedup;
-        let dedup_value = Value::Map(vec![
-            ("dedup_hits".to_string(), Value::U64(d.hits)),
-            ("dedup_misses".to_string(), Value::U64(d.misses)),
-            ("dedup_coalesced".to_string(), Value::U64(d.coalesced)),
-            ("dedup_rate".to_string(), Value::F64(d.rate)),
-        ]);
-        let i = &self.incremental;
-        let incremental_value = Value::Map(vec![
-            ("incremental_sessions".to_string(), Value::U64(i.sessions)),
-            ("incremental_checks".to_string(), Value::U64(i.checks)),
-            ("incremental_fallbacks".to_string(), Value::U64(i.fallbacks)),
-            ("activation_vars".to_string(), Value::U64(i.activation_vars)),
-            (
-                "clause_reuse_rate".to_string(),
-                Value::F64(i.clause_reuse_rate),
-            ),
-            (
-                "learned_clauses_retained".to_string(),
-                Value::U64(i.learned_clauses_retained),
-            ),
-        ]);
-        let persistent_value = match &self.persistent {
-            None => Value::Map(vec![("enabled".to_string(), Value::Bool(false))]),
-            Some(p) => Value::Map(vec![
-                ("enabled".to_string(), Value::Bool(true)),
-                ("degraded".to_string(), Value::Bool(p.degraded)),
-                ("preloaded".to_string(), Value::U64(p.preloaded)),
-                ("quarantined".to_string(), Value::U64(p.quarantined)),
-                ("live_entries".to_string(), Value::U64(p.live_entries)),
-                ("disk_lines".to_string(), Value::U64(p.disk_lines)),
-                ("disk_good".to_string(), Value::U64(p.disk_good)),
-                ("lookups".to_string(), Value::U64(p.lookups)),
-                ("hits".to_string(), Value::U64(p.hits)),
-                ("appends".to_string(), Value::U64(p.appends)),
-                ("append_errors".to_string(), Value::U64(p.append_errors)),
-                (
-                    "skipped_degraded".to_string(),
-                    Value::U64(p.skipped_degraded),
-                ),
-                ("breaker_trips".to_string(), Value::U64(p.breaker_trips)),
-                ("compactions".to_string(), Value::U64(p.compactions)),
-                (
-                    "compaction_failures".to_string(),
-                    Value::U64(p.compaction_failures),
-                ),
-                (
-                    "injected_write_errors".to_string(),
-                    Value::U64(p.injected_write_errors),
-                ),
-                (
-                    "injected_short_writes".to_string(),
-                    Value::U64(p.injected_short_writes),
-                ),
-                (
-                    "injected_bit_flips".to_string(),
-                    Value::U64(p.injected_bit_flips),
-                ),
-            ]),
+        let persistent = match &self.persistent {
+            None => vec![enabled(false)],
+            Some(p) => entries(vec![enabled(true)], p, PersistSection::FIELDS),
         };
-        let cluster_value = match &self.cluster {
-            ClusterSection::Off => Value::Map(vec![("enabled".to_string(), Value::Bool(false))]),
-            ClusterSection::Shard(s) => Value::Map(vec![
-                ("enabled".to_string(), Value::Bool(true)),
-                ("role".to_string(), Value::Str("shard".to_string())),
-                ("shard_id".to_string(), Value::U64(s.shard_id)),
-                ("peers".to_string(), Value::U64(s.peers)),
-                ("remote_lookups".to_string(), Value::U64(s.remote_lookups)),
-                ("remote_hits".to_string(), Value::U64(s.remote_hits)),
-                ("remote_misses".to_string(), Value::U64(s.remote_misses)),
-                ("remote_hit_rate".to_string(), Value::F64(s.remote_hit_rate)),
-                ("remote_puts".to_string(), Value::U64(s.remote_puts)),
-                ("self_owned".to_string(), Value::U64(s.self_owned)),
-                (
-                    "transport_errors".to_string(),
-                    Value::U64(s.transport_errors),
-                ),
-                ("retries".to_string(), Value::U64(s.retries)),
-                ("breaker_trips".to_string(), Value::U64(s.breaker_trips)),
-                ("skipped_open".to_string(), Value::U64(s.skipped_open)),
-                ("open_breakers".to_string(), Value::U64(s.open_breakers)),
-            ]),
+        let cluster = match &self.cluster {
+            ClusterSection::Off => vec![enabled(false)],
+            ClusterSection::Shard(s) => entries(
+                vec![enabled(true), role("shard")],
+                s,
+                ShardClusterSection::FIELDS,
+            ),
             ClusterSection::Router(r) => {
-                let per_shard = Value::Map(
-                    r.shards
-                        .iter()
-                        .map(|row| {
-                            (
-                                row.addr.clone(),
-                                Value::Map(vec![
-                                    ("forwarded".to_string(), Value::U64(row.forwarded)),
-                                    ("retries".to_string(), Value::U64(row.retries)),
-                                    ("failures".to_string(), Value::U64(row.failures)),
-                                    ("breaker_open".to_string(), Value::Bool(row.breaker_open)),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                );
-                Value::Map(vec![
-                    ("enabled".to_string(), Value::Bool(true)),
-                    ("role".to_string(), Value::Str("router".to_string())),
-                    ("shards".to_string(), per_shard),
-                    (
-                        "degraded_local_solves".to_string(),
-                        Value::U64(r.degraded_local_solves),
-                    ),
-                    ("breaker_trips".to_string(), Value::U64(r.breaker_trips)),
-                    ("skipped_open".to_string(), Value::U64(r.skipped_open)),
-                ])
+                let shards = r
+                    .shards
+                    .iter()
+                    .map(|row| {
+                        let counters = vec![
+                            entry("forwarded", Value::U64(row.forwarded)),
+                            entry("retries", Value::U64(row.retries)),
+                            entry("failures", Value::U64(row.failures)),
+                            entry("breaker_open", Value::Bool(row.breaker_open)),
+                        ];
+                        entry(&row.addr, Value::Map(counters))
+                    })
+                    .collect();
+                let head = vec![
+                    enabled(true),
+                    role("router"),
+                    entry("shards", Value::Map(shards)),
+                ];
+                entries(head, r, RouterClusterSection::FIELDS)
             }
         };
         let t = &self.transport;
         let mut injected: Vec<(String, Value)> = t
             .injected_faults
             .iter()
-            .map(|(kind, n)| (kind.clone(), Value::U64(*n)))
+            .map(|(kind, n)| entry(kind, Value::U64(*n)))
             .collect();
-        injected.push(("total".to_string(), Value::U64(t.total_faults())));
-        let transport_value = Value::Map(vec![
-            ("retries".to_string(), Value::U64(t.retries)),
-            ("giveups".to_string(), Value::U64(t.giveups)),
-            ("breaker_trips".to_string(), Value::U64(t.breaker_trips)),
-            (
-                "breaker_rejections".to_string(),
-                Value::U64(t.breaker_rejections),
-            ),
-            (
-                "cancelled_backoffs".to_string(),
-                Value::U64(t.cancelled_backoffs),
-            ),
-            ("injected_faults".to_string(), Value::Map(injected)),
+        injected.push(entry("total", Value::U64(t.total_faults())));
+        let mut transport = entries(Vec::new(), t, TransportSection::FIELDS);
+        transport.push(entry("injected_faults", Value::Map(injected)));
+        let oracle = entries(Vec::new(), &self.oracle_cache, OracleCacheSection::FIELDS);
+        let dedup = entries(Vec::new(), &self.candidate_dedup, DedupSection::FIELDS);
+        let incremental = entries(Vec::new(), &self.incremental, IncrementalSection::FIELDS);
+        let mut doc = entries(Vec::new(), self, Snapshot::FIELDS);
+        doc.extend([
+            entry("requests", requests),
+            entry("latency_ms", latency),
+            entry("oracle_cache", Value::Map(oracle)),
+            entry("candidate_dedup", Value::Map(dedup)),
+            entry("incremental", Value::Map(incremental)),
+            entry("persistent", Value::Map(persistent)),
+            entry("cluster", Value::Map(cluster)),
+            entry("transport", Value::Map(transport)),
         ]);
-        Value::Map(vec![
-            ("uptime_ms".to_string(), Value::U64(self.uptime_ms)),
-            ("queue_depth".to_string(), Value::U64(self.queue_depth)),
-            ("inflight".to_string(), Value::U64(self.inflight)),
-            ("shed_total".to_string(), Value::U64(self.shed_total)),
-            (
-                "deadline_exceeded_total".to_string(),
-                Value::U64(self.deadline_exceeded_total),
-            ),
-            ("requests".to_string(), requests),
-            ("latency_ms".to_string(), latency),
-            ("oracle_cache".to_string(), oracle_value),
-            ("candidate_dedup".to_string(), dedup_value),
-            ("incremental".to_string(), incremental_value),
-            ("persistent".to_string(), persistent_value),
-            ("cluster".to_string(), cluster_value),
-            ("transport".to_string(), transport_value),
-        ])
+        Value::Map(doc)
     }
 
     /// Flattens the snapshot into the canonical series list: every scalar
@@ -449,294 +656,52 @@ impl Snapshot {
     /// aggregation — one list, three consumers, no drift.
     pub fn samples(&self) -> Vec<Sample> {
         let mut out = Vec::new();
-        let gauge = |out: &mut Vec<Sample>, name: &str, value: f64| {
-            out.push(Sample {
-                name: name.to_string(),
-                labels: Vec::new(),
-                value: SampleValue::Gauge(value),
-            });
-        };
-        let counter = |out: &mut Vec<Sample>, name: &str, value: u64| {
-            out.push(Sample {
-                name: name.to_string(),
-                labels: Vec::new(),
-                value: SampleValue::Counter(value),
-            });
-        };
-        gauge(&mut out, "specrepair_uptime_ms", self.uptime_ms as f64);
-        gauge(&mut out, "specrepair_queue_depth", self.queue_depth as f64);
-        gauge(&mut out, "specrepair_inflight", self.inflight as f64);
-        counter(&mut out, "specrepair_shed_total", self.shed_total);
-        counter(
-            &mut out,
-            "specrepair_deadline_exceeded_total",
-            self.deadline_exceeded_total,
-        );
+        push_fields(&mut out, self, Snapshot::FIELDS);
         for (endpoint, statuses) in &self.requests {
             for (status, count) in statuses {
-                out.push(Sample {
-                    name: "specrepair_requests_total".to_string(),
-                    labels: vec![
-                        ("endpoint".to_string(), endpoint.clone()),
-                        ("status".to_string(), status.clone()),
-                    ],
-                    value: SampleValue::Counter(*count),
-                });
+                let labels = [("endpoint", endpoint.as_str()), ("status", status.as_str())];
+                out.push(REQUESTS.sample(&labels, SampleValue::Counter(*count)));
             }
         }
         for (technique, h) in &self.latency {
-            let labels = vec![("technique".to_string(), technique.clone())];
-            out.push(Sample {
-                name: "specrepair_repair_latency_us".to_string(),
-                labels: labels.clone(),
-                value: SampleValue::Histogram(h.clone()),
-            });
-            out.push(Sample {
-                name: "specrepair_repair_latency_us_max".to_string(),
-                labels,
-                value: SampleValue::Gauge(h.max_micros() as f64),
-            });
+            let labels = [("technique", technique.as_str())];
+            out.push(LATENCY.sample(&labels, SampleValue::Histogram(h.clone())));
+            let max = SampleValue::Gauge(h.max_micros() as f64);
+            out.push(LATENCY_MAX.sample(&labels, max));
         }
-        let o = &self.oracle_cache;
-        counter(&mut out, "specrepair_oracle_hits_total", o.hits);
-        counter(&mut out, "specrepair_oracle_misses_total", o.misses);
-        counter(
-            &mut out,
-            "specrepair_oracle_solver_invocations_total",
-            o.solver_invocations,
-        );
-        counter(&mut out, "specrepair_oracle_errors_total", o.errors);
-        counter(&mut out, "specrepair_oracle_evictions_total", o.evictions);
-        gauge(&mut out, "specrepair_oracle_hit_rate", o.hit_rate);
-        gauge(
-            &mut out,
-            "specrepair_oracle_memoized_specs",
-            o.memoized_specs as f64,
-        );
-        counter(
-            &mut out,
-            "specrepair_oracle_persist_hits_total",
-            o.persist_hits,
-        );
-        counter(&mut out, "specrepair_oracle_collapsed_total", o.collapsed);
-        let d = &self.candidate_dedup;
-        counter(&mut out, "specrepair_dedup_hits_total", d.hits);
-        counter(&mut out, "specrepair_dedup_misses_total", d.misses);
-        counter(&mut out, "specrepair_dedup_coalesced_total", d.coalesced);
-        gauge(&mut out, "specrepair_dedup_rate", d.rate);
-        let i = &self.incremental;
-        counter(
-            &mut out,
-            "specrepair_incremental_sessions_total",
-            i.sessions,
-        );
-        counter(&mut out, "specrepair_incremental_checks_total", i.checks);
-        counter(
-            &mut out,
-            "specrepair_incremental_fallbacks_total",
-            i.fallbacks,
-        );
-        counter(
-            &mut out,
-            "specrepair_incremental_activation_vars_total",
-            i.activation_vars,
-        );
-        gauge(
-            &mut out,
-            "specrepair_incremental_clause_reuse_rate",
-            i.clause_reuse_rate,
-        );
-        counter(
-            &mut out,
-            "specrepair_incremental_learned_clauses_retained_total",
-            i.learned_clauses_retained,
-        );
-        gauge(
-            &mut out,
-            "specrepair_persist_enabled",
-            u64::from(self.persistent.is_some()) as f64,
-        );
+        push_fields(&mut out, &self.oracle_cache, OracleCacheSection::FIELDS);
+        push_fields(&mut out, &self.candidate_dedup, DedupSection::FIELDS);
+        push_fields(&mut out, &self.incremental, IncrementalSection::FIELDS);
+        let persist_enabled = u64::from(self.persistent.is_some()) as f64;
+        out.push(PERSIST_ENABLED.sample(&[], SampleValue::Gauge(persist_enabled)));
         if let Some(p) = &self.persistent {
-            gauge(
-                &mut out,
-                "specrepair_persist_degraded",
-                u64::from(p.degraded) as f64,
-            );
-            gauge(&mut out, "specrepair_persist_preloaded", p.preloaded as f64);
-            gauge(
-                &mut out,
-                "specrepair_persist_quarantined",
-                p.quarantined as f64,
-            );
-            gauge(
-                &mut out,
-                "specrepair_persist_live_entries",
-                p.live_entries as f64,
-            );
-            gauge(
-                &mut out,
-                "specrepair_persist_disk_lines",
-                p.disk_lines as f64,
-            );
-            gauge(&mut out, "specrepair_persist_disk_good", p.disk_good as f64);
-            counter(&mut out, "specrepair_persist_lookups_total", p.lookups);
-            counter(&mut out, "specrepair_persist_hits_total", p.hits);
-            counter(&mut out, "specrepair_persist_appends_total", p.appends);
-            counter(
-                &mut out,
-                "specrepair_persist_append_errors_total",
-                p.append_errors,
-            );
-            counter(
-                &mut out,
-                "specrepair_persist_skipped_degraded_total",
-                p.skipped_degraded,
-            );
-            counter(
-                &mut out,
-                "specrepair_persist_breaker_trips_total",
-                p.breaker_trips,
-            );
-            counter(
-                &mut out,
-                "specrepair_persist_compactions_total",
-                p.compactions,
-            );
-            counter(
-                &mut out,
-                "specrepair_persist_compaction_failures_total",
-                p.compaction_failures,
-            );
-            counter(
-                &mut out,
-                "specrepair_persist_injected_write_errors_total",
-                p.injected_write_errors,
-            );
-            counter(
-                &mut out,
-                "specrepair_persist_injected_short_writes_total",
-                p.injected_short_writes,
-            );
-            counter(
-                &mut out,
-                "specrepair_persist_injected_bit_flips_total",
-                p.injected_bit_flips,
-            );
+            push_fields(&mut out, p, PersistSection::FIELDS);
         }
         match &self.cluster {
-            ClusterSection::Off => {
-                gauge(&mut out, "specrepair_cluster_enabled", 0.0);
-            }
+            ClusterSection::Off => out.push(CLUSTER_ENABLED.sample(&[], SampleValue::Gauge(0.0))),
             ClusterSection::Shard(s) => {
-                out.push(Sample {
-                    name: "specrepair_cluster_enabled".to_string(),
-                    labels: vec![("role".to_string(), "shard".to_string())],
-                    value: SampleValue::Gauge(1.0),
-                });
-                gauge(&mut out, "specrepair_cluster_shard_id", s.shard_id as f64);
-                gauge(&mut out, "specrepair_cluster_peers", s.peers as f64);
-                counter(
-                    &mut out,
-                    "specrepair_remote_lookups_total",
-                    s.remote_lookups,
-                );
-                counter(&mut out, "specrepair_remote_hits_total", s.remote_hits);
-                counter(&mut out, "specrepair_remote_misses_total", s.remote_misses);
-                gauge(&mut out, "specrepair_remote_hit_rate", s.remote_hit_rate);
-                counter(&mut out, "specrepair_remote_puts_total", s.remote_puts);
-                counter(&mut out, "specrepair_remote_self_owned_total", s.self_owned);
-                counter(
-                    &mut out,
-                    "specrepair_remote_transport_errors_total",
-                    s.transport_errors,
-                );
-                counter(&mut out, "specrepair_remote_retries_total", s.retries);
-                counter(
-                    &mut out,
-                    "specrepair_remote_breaker_trips_total",
-                    s.breaker_trips,
-                );
-                counter(
-                    &mut out,
-                    "specrepair_remote_skipped_open_total",
-                    s.skipped_open,
-                );
-                gauge(
-                    &mut out,
-                    "specrepair_remote_open_breakers",
-                    s.open_breakers as f64,
-                );
+                out.push(CLUSTER_ENABLED.sample(&[("role", "shard")], SampleValue::Gauge(1.0)));
+                push_fields(&mut out, s, ShardClusterSection::FIELDS);
             }
             ClusterSection::Router(r) => {
-                out.push(Sample {
-                    name: "specrepair_cluster_enabled".to_string(),
-                    labels: vec![("role".to_string(), "router".to_string())],
-                    value: SampleValue::Gauge(1.0),
-                });
+                out.push(CLUSTER_ENABLED.sample(&[("role", "router")], SampleValue::Gauge(1.0)));
                 for row in &r.shards {
-                    let labels = vec![("shard".to_string(), row.addr.clone())];
-                    out.push(Sample {
-                        name: "specrepair_router_forwarded_total".to_string(),
-                        labels: labels.clone(),
-                        value: SampleValue::Counter(row.forwarded),
-                    });
-                    out.push(Sample {
-                        name: "specrepair_router_retries_total".to_string(),
-                        labels: labels.clone(),
-                        value: SampleValue::Counter(row.retries),
-                    });
-                    out.push(Sample {
-                        name: "specrepair_router_failures_total".to_string(),
-                        labels: labels.clone(),
-                        value: SampleValue::Counter(row.failures),
-                    });
-                    out.push(Sample {
-                        name: "specrepair_router_breaker_open".to_string(),
-                        labels,
-                        value: SampleValue::Gauge(u64::from(row.breaker_open) as f64),
-                    });
+                    let labels = [("shard", row.addr.as_str())];
+                    let open = u64::from(row.breaker_open) as f64;
+                    out.extend([
+                        ROUTER_FORWARDED.sample(&labels, SampleValue::Counter(row.forwarded)),
+                        ROUTER_RETRIES.sample(&labels, SampleValue::Counter(row.retries)),
+                        ROUTER_FAILURES.sample(&labels, SampleValue::Counter(row.failures)),
+                        ROUTER_BREAKER_OPEN.sample(&labels, SampleValue::Gauge(open)),
+                    ]);
                 }
-                counter(
-                    &mut out,
-                    "specrepair_router_degraded_local_solves_total",
-                    r.degraded_local_solves,
-                );
-                counter(
-                    &mut out,
-                    "specrepair_router_breaker_trips_total",
-                    r.breaker_trips,
-                );
-                counter(
-                    &mut out,
-                    "specrepair_router_skipped_open_total",
-                    r.skipped_open,
-                );
+                push_fields(&mut out, r, RouterClusterSection::FIELDS);
             }
         }
-        let t = &self.transport;
-        counter(&mut out, "specrepair_transport_retries_total", t.retries);
-        counter(&mut out, "specrepair_transport_giveups_total", t.giveups);
-        counter(
-            &mut out,
-            "specrepair_transport_breaker_trips_total",
-            t.breaker_trips,
-        );
-        counter(
-            &mut out,
-            "specrepair_transport_breaker_rejections_total",
-            t.breaker_rejections,
-        );
-        counter(
-            &mut out,
-            "specrepair_transport_cancelled_backoffs_total",
-            t.cancelled_backoffs,
-        );
-        for (kind, count) in &t.injected_faults {
-            out.push(Sample {
-                name: "specrepair_transport_injected_faults_total".to_string(),
-                labels: vec![("kind".to_string(), kind.clone())],
-                value: SampleValue::Counter(*count),
-            });
+        push_fields(&mut out, &self.transport, TransportSection::FIELDS);
+        for (kind, count) in &self.transport.injected_faults {
+            let labels = [("kind", kind.as_str())];
+            out.push(INJECTED_FAULTS.sample(&labels, SampleValue::Counter(*count)));
         }
         out
     }
@@ -783,120 +748,41 @@ impl Snapshot {
     /// field, or a mistyped value.
     pub fn from_json(body: &str) -> Result<Snapshot, String> {
         let doc = MetricsDoc::parse(body)?;
-        let mut snapshot = Snapshot {
-            uptime_ms: doc.top_number_or("uptime_ms", 0.0) as u64,
-            queue_depth: doc.top_number_or("queue_depth", 0.0) as u64,
-            inflight: doc.top_number_or("inflight", 0.0) as u64,
-            shed_total: doc.top_number_or("shed_total", 0.0) as u64,
-            deadline_exceeded_total: doc.top_number_or("deadline_exceeded_total", 0.0) as u64,
-            ..Snapshot::default()
-        };
-        snapshot.oracle_cache = OracleCacheSection {
-            hits: doc.number("oracle_cache", "hits")? as u64,
-            misses: doc.number("oracle_cache", "misses")? as u64,
-            solver_invocations: doc.number_or("oracle_cache", "solver_invocations", 0.0) as u64,
-            errors: doc.number_or("oracle_cache", "errors", 0.0) as u64,
-            evictions: doc.number_or("oracle_cache", "evictions", 0.0) as u64,
-            hit_rate: doc.number("oracle_cache", "hit_rate")?,
-            memoized_specs: doc.number_or("oracle_cache", "memoized_specs", 0.0) as u64,
-            persist_hits: doc.number_or("oracle_cache", "persist_hits", 0.0) as u64,
-            collapsed: doc.number_or("oracle_cache", "collapsed", 0.0) as u64,
-        };
-        snapshot.candidate_dedup = DedupSection {
-            hits: doc.number("candidate_dedup", "dedup_hits")? as u64,
-            misses: doc.number_or("candidate_dedup", "dedup_misses", 0.0) as u64,
-            coalesced: doc.number_or("candidate_dedup", "dedup_coalesced", 0.0) as u64,
-            rate: doc.number("candidate_dedup", "dedup_rate")?,
-        };
-        snapshot.incremental = IncrementalSection {
-            sessions: doc.number_or("incremental", "incremental_sessions", 0.0) as u64,
-            checks: doc.number("incremental", "incremental_checks")? as u64,
-            fallbacks: doc.number_or("incremental", "incremental_fallbacks", 0.0) as u64,
-            activation_vars: doc.number_or("incremental", "activation_vars", 0.0) as u64,
-            clause_reuse_rate: doc.number("incremental", "clause_reuse_rate")?,
-            learned_clauses_retained: doc.number_or("incremental", "learned_clauses_retained", 0.0)
-                as u64,
-        };
+        let mut snapshot: Snapshot = doc.decode(None, Snapshot::FIELDS)?;
+        snapshot.oracle_cache = doc.decode(Some("oracle_cache"), OracleCacheSection::FIELDS)?;
+        snapshot.candidate_dedup = doc.decode(Some("candidate_dedup"), DedupSection::FIELDS)?;
+        snapshot.incremental = doc.decode(Some("incremental"), IncrementalSection::FIELDS)?;
         // `persistent` renders `{"enabled": false}` when the tier is off:
         // a missing `preloaded` field is the signal, not an error.
-        snapshot.persistent = if doc.flag("persistent", "enabled") {
-            Some(PersistSection {
-                degraded: doc.flag("persistent", "degraded"),
-                preloaded: doc.number("persistent", "preloaded")? as u64,
-                quarantined: doc.number_or("persistent", "quarantined", 0.0) as u64,
-                live_entries: doc.number_or("persistent", "live_entries", 0.0) as u64,
-                disk_lines: doc.number_or("persistent", "disk_lines", 0.0) as u64,
-                disk_good: doc.number_or("persistent", "disk_good", 0.0) as u64,
-                lookups: doc.number_or("persistent", "lookups", 0.0) as u64,
-                hits: doc.number_or("persistent", "hits", 0.0) as u64,
-                appends: doc.number_or("persistent", "appends", 0.0) as u64,
-                append_errors: doc.number_or("persistent", "append_errors", 0.0) as u64,
-                skipped_degraded: doc.number_or("persistent", "skipped_degraded", 0.0) as u64,
-                breaker_trips: doc.number_or("persistent", "breaker_trips", 0.0) as u64,
-                compactions: doc.number_or("persistent", "compactions", 0.0) as u64,
-                compaction_failures: doc.number_or("persistent", "compaction_failures", 0.0) as u64,
-                injected_write_errors: doc.number_or("persistent", "injected_write_errors", 0.0)
-                    as u64,
-                injected_short_writes: doc.number_or("persistent", "injected_short_writes", 0.0)
-                    as u64,
-                injected_bit_flips: doc.number_or("persistent", "injected_bit_flips", 0.0) as u64,
-            })
-        } else {
-            None
-        };
-        snapshot.cluster = if !doc.flag("cluster", "enabled") {
+        let persistent = Some("persistent");
+        if doc.flag(persistent, "enabled") {
+            snapshot.persistent = Some(doc.decode(persistent, PersistSection::FIELDS)?);
+        }
+        let cluster = Some("cluster");
+        snapshot.cluster = if !doc.flag(cluster, "enabled") {
             ClusterSection::Off
-        } else if doc.string("cluster", "role").as_deref() == Some("shard") {
-            ClusterSection::Shard(ShardClusterSection {
-                shard_id: doc.number_or("cluster", "shard_id", 0.0) as u64,
-                peers: doc.number_or("cluster", "peers", 0.0) as u64,
-                remote_lookups: doc.number_or("cluster", "remote_lookups", 0.0) as u64,
-                remote_hits: doc.number_or("cluster", "remote_hits", 0.0) as u64,
-                remote_misses: doc.number_or("cluster", "remote_misses", 0.0) as u64,
-                remote_hit_rate: doc.number_or("cluster", "remote_hit_rate", 0.0),
-                remote_puts: doc.number_or("cluster", "remote_puts", 0.0) as u64,
-                self_owned: doc.number_or("cluster", "self_owned", 0.0) as u64,
-                transport_errors: doc.number_or("cluster", "transport_errors", 0.0) as u64,
-                retries: doc.number_or("cluster", "retries", 0.0) as u64,
-                breaker_trips: doc.number_or("cluster", "breaker_trips", 0.0) as u64,
-                skipped_open: doc.number_or("cluster", "skipped_open", 0.0) as u64,
-                open_breakers: doc.number_or("cluster", "open_breakers", 0.0) as u64,
-            })
+        } else if doc.string(cluster, "role") == Some("shard") {
+            ClusterSection::Shard(doc.decode(cluster, ShardClusterSection::FIELDS)?)
         } else {
-            ClusterSection::Router(RouterClusterSection {
-                shards: Vec::new(),
-                degraded_local_solves: doc.number_or("cluster", "degraded_local_solves", 0.0)
-                    as u64,
-                breaker_trips: doc.number_or("cluster", "breaker_trips", 0.0) as u64,
-                skipped_open: doc.number_or("cluster", "skipped_open", 0.0) as u64,
-            })
+            ClusterSection::Router(doc.decode(cluster, RouterClusterSection::FIELDS)?)
         };
-        snapshot.transport = TransportSection {
-            retries: doc.number_or("transport", "retries", 0.0) as u64,
-            giveups: doc.number_or("transport", "giveups", 0.0) as u64,
-            breaker_trips: doc.number_or("transport", "breaker_trips", 0.0) as u64,
-            breaker_rejections: doc.number_or("transport", "breaker_rejections", 0.0) as u64,
-            cancelled_backoffs: doc.number_or("transport", "cancelled_backoffs", 0.0) as u64,
-            injected_faults: Vec::new(),
-        };
+        snapshot.transport = doc.decode(Some("transport"), TransportSection::FIELDS)?;
         Ok(snapshot)
     }
 }
 
-/// A parsed `/metrics` JSON document with described-field access — the
-/// decoding seam [`Snapshot::from_json`] (and any ad-hoc reconciliation)
-/// is built on.
-pub struct MetricsDoc {
+fn lookup<'a>(map: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
+    map.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+}
+
+/// A parsed `/metrics` JSON document with described-field access: a
+/// `None` section means the document's top level.
+struct MetricsDoc {
     root: Vec<(String, Value)>,
 }
 
 impl MetricsDoc {
-    /// Parses the body and checks it is a JSON object.
-    ///
-    /// # Errors
-    ///
-    /// "not valid JSON" or "not a JSON object", each described.
-    pub fn parse(body: &str) -> Result<MetricsDoc, String> {
+    fn parse(body: &str) -> Result<MetricsDoc, String> {
         let value: Value = serde_json::from_str(body)
             .map_err(|e| format!("/metrics body is not valid JSON: {e}"))?;
         let Value::Map(root) = value else {
@@ -905,75 +791,57 @@ impl MetricsDoc {
         Ok(MetricsDoc { root })
     }
 
-    fn top(&self, name: &str) -> Option<&Value> {
-        self.root.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-    }
-
-    fn section(&self, section: &str) -> Result<&Vec<(String, Value)>, String> {
-        let sec = self
-            .top(section)
-            .ok_or(format!("/metrics document has no `{section}` section"))?;
-        let Value::Map(sec) = sec else {
-            return Err(format!("/metrics `{section}` is not an object"));
-        };
-        Ok(sec)
-    }
-
-    /// A top-level number, with a default when absent or mistyped.
-    pub fn top_number_or(&self, name: &str, default: f64) -> f64 {
-        match self.top(name) {
-            Some(Value::F64(n)) => *n,
-            Some(Value::U64(n)) => *n as f64,
-            Some(Value::I64(n)) => *n as f64,
-            _ => default,
+    /// Decodes one declared section, field by field in document order.
+    fn decode<S: Default>(&self, section: Option<&str>, fields: &[Field<S>]) -> Result<S, String> {
+        let mut out = S::default();
+        for field in fields {
+            (field.decode)(&mut out, self, section)?;
         }
+        Ok(out)
     }
 
-    /// `{section}.{field}` as a number, describing exactly which
-    /// expectation a malformed body violates.
-    ///
-    /// # Errors
-    ///
-    /// The missing section, the missing field, or the mistyped value.
-    pub fn number(&self, section: &str, field: &str) -> Result<f64, String> {
-        let sec = self.section(section)?;
-        let num = sec
-            .iter()
-            .find(|(k, _)| k == field)
-            .map(|(_, v)| v)
-            .ok_or(format!("/metrics `{section}` has no `{field}` field"))?;
-        match num {
+    /// `{section}.{key}`, describing the missing section or field.
+    fn value(&self, section: Option<&str>, key: &str) -> Result<&Value, String> {
+        let map = match section {
+            None => &self.root,
+            Some(name) => match lookup(&self.root, name) {
+                None => return Err(format!("/metrics document has no `{name}` section")),
+                Some(Value::Map(map)) => map,
+                Some(_) => return Err(format!("/metrics `{name}` is not an object")),
+            },
+        };
+        let name = section.unwrap_or("document");
+        lookup(map, key).ok_or_else(|| format!("/metrics `{name}` has no `{key}` field"))
+    }
+
+    /// `{section}.{key}` as a number. Unless `required`, an absent section
+    /// or field (older daemons) or a mistyped value reads as 0.
+    fn number(&self, section: Option<&str>, key: &str, required: bool) -> Result<f64, String> {
+        let number = self.value(section, key).and_then(|value| match value {
             Value::F64(n) => Ok(*n),
             Value::U64(n) => Ok(*n as f64),
             Value::I64(n) => Ok(*n as f64),
-            other => Err(format!("`{section}.{field}` is not a number: {other:?}")),
+            other => {
+                let name = section.unwrap_or("document");
+                Err(format!("`{name}.{key}` is not a number: {other:?}"))
+            }
+        });
+        if required {
+            number
+        } else {
+            Ok(number.unwrap_or(0.0))
         }
     }
 
-    /// `{section}.{field}` as a number, with a default when the section or
-    /// field is absent (older daemons) or mistyped.
-    pub fn number_or(&self, section: &str, field: &str, default: f64) -> f64 {
-        self.number(section, field).unwrap_or(default)
+    /// `{section}.{key}` as a boolean (false when absent or mistyped).
+    fn flag(&self, section: Option<&str>, key: &str) -> bool {
+        matches!(self.value(section, key), Ok(Value::Bool(true)))
     }
 
-    /// `{section}.{field}` as a boolean (false when absent or mistyped).
-    pub fn flag(&self, section: &str, field: &str) -> bool {
-        matches!(
-            self.section(section)
-                .ok()
-                .and_then(|sec| sec.iter().find(|(k, _)| k == field).map(|(_, v)| v)),
-            Some(Value::Bool(true))
-        )
-    }
-
-    /// `{section}.{field}` as a string, `None` when absent or mistyped.
-    pub fn string(&self, section: &str, field: &str) -> Option<String> {
-        match self
-            .section(section)
-            .ok()
-            .and_then(|sec| sec.iter().find(|(k, _)| k == field).map(|(_, v)| v))
-        {
-            Some(Value::Str(s)) => Some(s.clone()),
+    /// `{section}.{key}` as a string, `None` when absent or mistyped.
+    fn string(&self, section: Option<&str>, key: &str) -> Option<&str> {
+        match self.value(section, key) {
+            Ok(Value::Str(s)) => Some(s),
             _ => None,
         }
     }
@@ -1079,6 +947,51 @@ pub(crate) mod tests {
         }
     }
 
+    /// A router-role snapshot: per-shard forwarding rows (one breaker
+    /// open), no persistent tier, a little request and latency traffic.
+    pub(crate) fn router_snapshot() -> Snapshot {
+        let mut portfolio = HistogramSnapshot::default();
+        portfolio.record(40_000);
+        Snapshot {
+            uptime_ms: 900,
+            queue_depth: 0,
+            inflight: 2,
+            shed_total: 0,
+            deadline_exceeded_total: 0,
+            requests: vec![(
+                "repair".to_string(),
+                vec![("200".to_string(), 5), ("504".to_string(), 1)],
+            )],
+            latency: vec![("Portfolio_All".to_string(), portfolio)],
+            cluster: ClusterSection::Router(RouterClusterSection {
+                shards: vec![
+                    RouterShardRow {
+                        addr: "127.0.0.1:7971".to_string(),
+                        forwarded: 9,
+                        retries: 1,
+                        failures: 0,
+                        breaker_open: false,
+                    },
+                    RouterShardRow {
+                        addr: "127.0.0.1:7972".to_string(),
+                        forwarded: 3,
+                        retries: 2,
+                        failures: 2,
+                        breaker_open: true,
+                    },
+                ],
+                degraded_local_solves: 2,
+                breaker_trips: 1,
+                skipped_open: 4,
+            }),
+            transport: TransportSection {
+                injected_faults: vec![("timeout".to_string(), 0), ("truncated".to_string(), 3)],
+                ..TransportSection::default()
+            },
+            ..Snapshot::default()
+        }
+    }
+
     #[test]
     fn json_round_trip_recovers_every_decoded_field() {
         let snapshot = rich_snapshot();
@@ -1112,22 +1025,7 @@ pub(crate) mod tests {
 
     #[test]
     fn router_cluster_section_renders_shard_rows() {
-        let snapshot = Snapshot {
-            cluster: ClusterSection::Router(RouterClusterSection {
-                shards: vec![RouterShardRow {
-                    addr: "127.0.0.1:7971".to_string(),
-                    forwarded: 9,
-                    retries: 1,
-                    failures: 0,
-                    breaker_open: false,
-                }],
-                degraded_local_solves: 2,
-                breaker_trips: 1,
-                skipped_open: 0,
-            }),
-            ..Snapshot::default()
-        };
-        let doc = snapshot.to_json();
+        let doc = router_snapshot().to_json();
         for needle in [
             "\"role\": \"router\"",
             "\"127.0.0.1:7971\"",
@@ -1182,6 +1080,28 @@ pub(crate) mod tests {
         let snapshot = Snapshot::from_json(body).expect("decodes");
         assert_eq!(snapshot.persistent, None);
         assert_eq!(snapshot.cluster, ClusterSection::Off);
+        // An enabled tier needs only its required counter; every other
+        // field defaults.
+        let off = r#""persistent":{"enabled":false}"#;
+        let preloaded_only = body.replace(off, r#""persistent":{"enabled":true,"preloaded":17}"#);
+        let snapshot = Snapshot::from_json(&preloaded_only).expect("decodes");
+        let want = PersistSection {
+            preloaded: 17,
+            ..PersistSection::default()
+        };
+        assert_eq!(snapshot.persistent, Some(want));
+        // So does a shard cluster section carrying only the remote-tier
+        // counters a per-shard report reads.
+        let cluster =
+            r#""cluster":{"enabled":true,"role":"shard","remote_hits":2,"remote_puts":3}"#;
+        let shard = body.replace(off, &format!("{off},{cluster}"));
+        let snapshot = Snapshot::from_json(&shard).expect("decodes");
+        let want = ShardClusterSection {
+            remote_hits: 2,
+            remote_puts: 3,
+            ..ShardClusterSection::default()
+        };
+        assert_eq!(snapshot.cluster, ClusterSection::Shard(want));
         // An enabled tier without its counters is a described error.
         let broken = body.replace("\"enabled\":false", "\"enabled\":true");
         let err = Snapshot::from_json(&broken).unwrap_err();

@@ -268,6 +268,15 @@ impl Oracle {
         Oracle::with_enabled(false)
     }
 
+    /// A pass-through oracle without incremental sessions: every query is
+    /// one cold [`Analyzer`] solve. The oracle-less scoring entry points
+    /// ([`crate::compare`], [`crate::rep_for_source`]) run on it.
+    pub fn cold() -> Oracle {
+        let oracle = Oracle::disabled();
+        oracle.disable_incremental();
+        oracle
+    }
+
     /// A memoizing oracle whose table is bounded at `per_shard` spec
     /// entries per shard (clamped to ≥ 1; total capacity ≈ `16 × per_shard`
     /// specs). When a shard fills up, its oldest entries are evicted FIFO

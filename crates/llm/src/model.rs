@@ -18,6 +18,19 @@
 //!
 //! All stochastic choices flow from a caller-provided [`ChaCha8Rng`], so
 //! every experiment is reproducible from its seed.
+//!
+//! # Prompt preparation
+//!
+//! Every proposal draws from the same menu: the prompt's specification,
+//! parsed, and every mutation of it — the operator mutations of a
+//! [`MutationEngine`] plus up to 24 synthesized constraints per top-level
+//! formula. That menu depends on the prompt's source text alone, which
+//! stays fixed across the drafts and rounds of one repair attempt, so a
+//! `PreparedSource` builds it once (under an `lm.prepare` span) and
+//! [`Prompt::new`] attaches it to the prompt. [`SyntheticLm::propose`]
+//! uses the attached preparation when it was built from the prompt's
+//! current source and prepares afresh otherwise; preparation draws
+//! nothing from the rng, so both ways return the same text.
 
 use mualloy_syntax::ast::*;
 use mualloy_syntax::walk::{replace_node, NodeId, NodeRepl};
@@ -68,6 +81,57 @@ pub struct Guidance {
     pub restrict_top: Option<usize>,
 }
 
+/// A prompt's source text, prepared once for proposing: the parsed
+/// specification's mutation engine and its full mutation list (operator
+/// mutations, then synthesis mutations), shared across prompt clones
+/// behind an [`std::sync::Arc`].
+pub(crate) struct PreparedSource {
+    source: String,
+    /// `None` when the source does not parse.
+    menu: Option<Menu>,
+}
+
+/// The edits a proposal chooses from.
+struct Menu {
+    engine: MutationEngine,
+    mutations: Vec<Mutation>,
+}
+
+impl PreparedSource {
+    /// Parses `source` and enumerates every mutation the model may propose.
+    pub(crate) fn new(source: &str) -> PreparedSource {
+        let _span = specrepair_trace::span("lm.prepare", specrepair_trace::Phase::Lm);
+        let menu = mualloy_syntax::parse_spec(source).ok().map(|spec| {
+            let engine = MutationEngine::new(&spec);
+            let mut mutations = engine.all_mutations();
+            // The model can also synthesize fresh constraints (replace or
+            // strengthen whole formulas) — the capability the paper credits
+            // for LLM success on faults that defeat operator-level search.
+            let vocab = Vocabulary::of(&spec);
+            let synth_sites: Vec<_> = engine
+                .sites()
+                .filter(|s| s.is_formula && s.depth <= 1)
+                .cloned()
+                .collect();
+            mutations.extend(synthesis_mutations(&spec, &vocab, &synth_sites, 24));
+            Menu { engine, mutations }
+        });
+        PreparedSource {
+            source: source.to_string(),
+            menu,
+        }
+    }
+}
+
+impl std::fmt::Debug for PreparedSource {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PreparedSource")
+            .field("source_bytes", &self.source.len())
+            .field("mutations", &self.menu.as_ref().map(|m| m.mutations.len()))
+            .finish()
+    }
+}
+
 /// The synthetic language model.
 #[derive(Debug, Clone, Default)]
 pub struct SyntheticLm {
@@ -85,36 +149,35 @@ impl SyntheticLm {
     /// specification. Returns `None` when the prompt's specification does
     /// not parse (a real model would hallucinate; the pipelines treat both
     /// identically).
+    ///
+    /// Uses the prompt's attached preparation when it was built from
+    /// `prompt.source`; prepares afresh otherwise.
     pub fn propose(
         &self,
         prompt: &Prompt,
         guidance: Option<&Guidance>,
         rng: &mut ChaCha8Rng,
     ) -> Option<String> {
-        let spec = mualloy_syntax::parse_spec(&prompt.source).ok()?;
-        let engine = MutationEngine::new(&spec);
-        let mut mutations = engine.all_mutations();
-        // The model can also synthesize fresh constraints (replace or
-        // strengthen whole formulas) — the capability the paper credits for
-        // LLM success on faults that defeat operator-level search.
-        let vocab = Vocabulary::of(&spec);
-        let synth_sites: Vec<_> = engine
-            .sites()
-            .filter(|s| s.is_formula && s.depth <= 1)
-            .cloned()
-            .collect();
-        mutations.extend(synthesis_mutations(&spec, &vocab, &synth_sites, 24));
+        let fresh;
+        let prepared = match &prompt.prepared {
+            Some(p) if p.source == prompt.source => p.as_ref(),
+            _ => {
+                fresh = PreparedSource::new(&prompt.source);
+                &fresh
+            }
+        };
+        let Menu { engine, mutations } = prepared.menu.as_ref()?;
         if mutations.is_empty() {
             return Some(prompt.source.clone());
         }
 
         // 1. Choose the edit. A fix description adopted verbatim is applied
         // alone — the model "knows" the answer and does not improvise.
-        let from_fix_hint = self.fix_hint_edit(prompt, &mutations, rng);
+        let from_fix_hint = self.fix_hint_edit(prompt, mutations, rng);
         let adopted_fix = from_fix_hint.is_some();
         let chosen = from_fix_hint
-            .or_else(|| self.location_guided_edit(prompt, &mutations, rng))
-            .or_else(|| self.guidance_weighted_edit(guidance, &mutations, rng))
+            .or_else(|| self.location_guided_edit(prompt, mutations, rng))
+            .or_else(|| self.guidance_weighted_edit(guidance, mutations, rng))
             .or_else(|| mutations.choose(rng).cloned())?;
         let mut candidate = engine.apply(&chosen)?;
 
@@ -371,6 +434,7 @@ mod tests {
                 pass: None,
             },
             feedback: None,
+            prepared: None,
         };
         let mut fixed = 0;
         for seed in 0..10u64 {
@@ -402,6 +466,7 @@ mod tests {
                 ..ProblemHints::default()
             },
             feedback: None,
+            prepared: None,
         };
         // With edits forced inside the faulty quantifier, proposals repair
         // the spec at least as often as unhinted ones, and not never.
@@ -472,5 +537,82 @@ mod tests {
             ..Prompt::default()
         };
         assert!(lm.propose(&prompt, None, &mut rng(0)).is_none());
+    }
+
+    /// Proposes 60 times on one rng stream, on `prompt` as given or on a
+    /// copy without its preparation (so every call prepares afresh), and
+    /// returns the texts plus the stream's next draw.
+    fn transcript(
+        prompt: &Prompt,
+        guidance: Option<&Guidance>,
+        reuse: bool,
+    ) -> (Vec<Option<String>>, u64) {
+        let lm = SyntheticLm::default();
+        let bare = Prompt {
+            prepared: None,
+            ..prompt.clone()
+        };
+        let prompt = if reuse { prompt } else { &bare };
+        let mut r = rng(2024);
+        let texts = (0..60)
+            .map(|_| lm.propose(prompt, guidance, &mut r))
+            .collect();
+        (texts, r.gen())
+    }
+
+    #[test]
+    fn reused_preparation_proposes_byte_identical_text() {
+        let spec = mualloy_syntax::parse_spec(FAULTY).unwrap();
+        let fact_start = FAULTY.find("some n: N").unwrap();
+        let loc = vec![mualloy_syntax::Span::new(fact_start, fact_start + 30)];
+        let located = ProblemHints {
+            sites: specrepair_core::sites_for_spans(&spec, &loc),
+            loc: loc.clone(),
+            ..ProblemHints::default()
+        };
+        assert!(!located.sites.is_empty());
+        let fixed = ProblemHints {
+            loc,
+            fix: vec!["replace `some` with `no`".to_string()],
+            ..ProblemHints::default()
+        };
+        let site_weights: Vec<(NodeId, f64)> = mualloy_syntax::walk::collect_sites(&spec)
+            .iter()
+            .filter(|s| s.is_formula)
+            .enumerate()
+            .map(|(i, s)| (s.id, 1.0 + i as f64))
+            .collect();
+        let guided = Guidance {
+            site_weights,
+            restrict_top: Some(2),
+        };
+        let cases = [
+            (Prompt::new(FAULTY, located), None),
+            (Prompt::new(FAULTY, fixed), None),
+            (Prompt::new(FAULTY, ProblemHints::default()), Some(&guided)),
+        ];
+        for (prompt, guidance) in &cases {
+            assert!(prompt.prepared.is_some());
+            let reused = transcript(prompt, *guidance, true);
+            assert_eq!(reused, transcript(prompt, *guidance, false));
+            assert!(reused.0.iter().all(Option::is_some));
+        }
+        // A preparation of another source is ignored, not trusted.
+        let stale = Prompt {
+            prepared: Prompt::new("sig A {} fact { some A }", ProblemHints::default()).prepared,
+            ..cases[0].0.clone()
+        };
+        assert_eq!(
+            transcript(&stale, None, true),
+            transcript(&cases[0].0, None, true)
+        );
+        // An unparsable source proposes nothing, prepared or not.
+        let garbage = Prompt::new("sig {", ProblemHints::default());
+        for reuse in [true, false] {
+            assert!(transcript(&garbage, None, reuse)
+                .0
+                .iter()
+                .all(Option::is_none));
+        }
     }
 }

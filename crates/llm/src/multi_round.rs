@@ -104,15 +104,14 @@ impl MultiRound {
         let mut guidance: Option<Guidance> = None;
         // Round-1 prompt may carry location hints (the LocalizeThenFix
         // hybrid injects them here; plain Multi-Round has none).
-        let mut prompt = Prompt {
-            source: ctx.source.clone(),
-            hints: ProblemHints {
+        let mut prompt = Prompt::new(
+            &ctx.source,
+            ProblemHints {
                 loc: loc_hints.to_vec(),
                 sites: specrepair_core::sites_for_spans(&ctx.faulty, loc_hints),
                 ..ProblemHints::default()
             },
-            feedback: None,
-        };
+        );
         // Why the loop stopped early, if it did (distinct outcome reasons:
         // the model running dry is not a transport failure).
         let mut model_done = false;

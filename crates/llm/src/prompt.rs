@@ -12,6 +12,9 @@
 use mualloy_syntax::walk::NodeId;
 use mualloy_syntax::Span;
 use std::fmt;
+use std::sync::Arc;
+
+use crate::model::PreparedSource;
 
 /// The five Single-Round prompt settings of the study.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -163,9 +166,24 @@ pub struct Prompt {
     pub hints: ProblemHints,
     /// Analyzer feedback carried over from the previous round, if any.
     pub feedback: Option<String>,
+    /// `source`, parsed and enumerated once for the model (see
+    /// [`crate::model`]). Without it, or when it was built from another
+    /// source, every proposal prepares afresh.
+    pub(crate) prepared: Option<Arc<PreparedSource>>,
 }
 
 impl Prompt {
+    /// A feedback-free prompt over `source`, prepared once up front so
+    /// every draft and round of the attempt reuses the preparation.
+    pub fn new(source: &str, hints: ProblemHints) -> Prompt {
+        Prompt {
+            source: source.to_string(),
+            hints,
+            feedback: None,
+            prepared: Some(Arc::new(PreparedSource::new(source))),
+        }
+    }
+
     /// Renders the prompt as the text a real LLM API would receive (used in
     /// reports and tests; the synthetic model consumes the structured form).
     pub fn render(&self) -> String {
@@ -281,6 +299,7 @@ mod tests {
                 pass: Some("Safe".into()),
             },
             feedback: Some("[FAIL] check Safe".into()),
+            prepared: None,
         };
         let text = p.render();
         assert!(text.contains("sig A {}"));

@@ -89,11 +89,7 @@ impl SingleRound {
         if hints.sites.is_empty() && !hints.loc.is_empty() {
             hints.sites = specrepair_core::sites_for_spans(&ctx.faulty, &hints.loc);
         }
-        let prompt = Prompt {
-            source: ctx.source.clone(),
-            hints: hints.clone(),
-            feedback: None,
-        };
+        let prompt = Prompt::new(&ctx.source, hints.clone());
         let mut rng = self.rng_for(ctx);
         let (drafts, full_check) = draft_policy(self.setting);
         let mut last_text: Option<String> = None;

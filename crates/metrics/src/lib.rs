@@ -37,6 +37,7 @@ pub mod kernel;
 pub mod stats;
 pub mod treediff;
 
+use mualloy_analyzer::Oracle;
 use mualloy_syntax::Spec;
 use serde::{Deserialize, Serialize};
 
@@ -47,11 +48,20 @@ pub use treediff::{tree_diff, tree_similarity, EditKind, TreeDiff, TreeDiffSumma
 
 /// REP for a candidate source against the parsed ground truth: 1 when every
 /// ground-truth command is equisatisfiable under the candidate, else 0.
-/// Unparsable candidates (and absent ones) score 0.
+/// Unparsable candidates (and absent ones) score 0. Every solve is cold;
+/// see [`rep_with`] to score against a shared oracle.
 pub fn rep(truth: &Spec, candidate_source: Option<&str>) -> u8 {
+    rep_with(&Oracle::cold(), truth, candidate_source)
+}
+
+/// [`rep`] with every solve routed through `oracle` — the per-problem
+/// oracle a technique has just used, so the ground truth is solved once
+/// per problem and the candidate's verdict usually comes from the memo
+/// (see [`mualloy_analyzer::rep_for_source_with`]).
+pub fn rep_with(oracle: &Oracle, truth: &Spec, candidate_source: Option<&str>) -> u8 {
     match candidate_source {
         None => 0,
-        Some(src) => mualloy_analyzer::rep_for_source(truth, src).unwrap_or(0),
+        Some(src) => mualloy_analyzer::rep_for_source_with(oracle, truth, src).unwrap_or(0),
     }
 }
 
@@ -66,7 +76,8 @@ pub struct CandidateMetrics {
     pub sm: Option<f64>,
 }
 
-/// Computes REP/TM/SM for one candidate against the ground truth.
+/// Computes REP/TM/SM for one candidate against the ground truth, solving
+/// cold.
 ///
 /// `truth_source` must be the text TM is measured against (the study uses
 /// the benchmark's ground-truth file).
@@ -75,8 +86,18 @@ pub fn candidate_metrics(
     truth_source: &str,
     candidate_source: Option<&str>,
 ) -> CandidateMetrics {
+    candidate_metrics_with(&Oracle::cold(), truth, truth_source, candidate_source)
+}
+
+/// [`candidate_metrics`] with REP scored through `oracle` ([`rep_with`]).
+pub fn candidate_metrics_with(
+    oracle: &Oracle,
+    truth: &Spec,
+    truth_source: &str,
+    candidate_source: Option<&str>,
+) -> CandidateMetrics {
     CandidateMetrics {
-        rep: rep(truth, candidate_source),
+        rep: rep_with(oracle, truth, candidate_source),
         tm: candidate_source.map(|c| sentence_bleu(truth_source, c)),
         sm: candidate_source.map(|c| syntax_match(truth_source, c)),
     }

@@ -15,7 +15,7 @@ use specrepair_core::{
     CancelToken, LocalizeThenFix, OracleHandle, RepairContext, RepairTechnique, UnionHybrid,
 };
 use specrepair_llm::{FeedbackSetting, MultiRound};
-use specrepair_metrics::rep;
+use specrepair_metrics::rep_with;
 use specrepair_traditional::Atr;
 use std::fmt::Write as _;
 
@@ -88,7 +88,11 @@ pub fn run(problems: &[RepairProblem], config: &StudyConfig) -> Ablation {
         .into_iter()
         .enumerate()
         {
-            arms[i].repaired += rep(&p.truth, outcome.candidate_source.as_deref()) as usize;
+            arms[i].repaired += rep_with(
+                oracle.service(),
+                &p.truth,
+                outcome.candidate_source.as_deref(),
+            ) as usize;
             arms[i].mean_explored += outcome.candidates_explored as f64;
         }
         incremental.absorb(&oracle.incremental_stats());

@@ -11,7 +11,7 @@ use specrepair_core::{
     RepairTechnique, VerdictStore,
 };
 use specrepair_llm::{invert_fix_description, MultiRound, ProblemHints, ResilientLm, SingleRound};
-use specrepair_metrics::candidate_metrics;
+use specrepair_metrics::candidate_metrics_with;
 use specrepair_traditional::{ARepair, Atr, BeAFix, Icebar};
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
@@ -302,14 +302,22 @@ pub fn evaluate_with(
     config: &StudyConfig,
 ) -> SpecRecord {
     let outcome = repair_with_oracle(oracle, id, problem, config);
-    record_from(problem, id.label(), &outcome)
+    record_with(oracle.service(), problem, id.label(), &outcome)
 }
 
 /// Assembles a [`SpecRecord`] from one finished outcome — shared by the
 /// solo study cells and the portfolio passes (which race an outcome first
-/// and score it the same way afterwards).
-pub fn record_from(problem: &RepairProblem, label: &str, outcome: &RepairOutcome) -> SpecRecord {
-    let metrics = candidate_metrics(
+/// and score it the same way afterwards). REP is scored through `oracle`,
+/// the one the outcome was produced against: the ground truth is solved
+/// once per problem and the candidate's verdict comes from the memo.
+pub fn record_with(
+    oracle: &Oracle,
+    problem: &RepairProblem,
+    label: &str,
+    outcome: &RepairOutcome,
+) -> SpecRecord {
+    let metrics = candidate_metrics_with(
+        oracle,
         &problem.truth,
         &problem.truth_source,
         outcome.candidate_source.as_deref(),

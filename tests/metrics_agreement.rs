@@ -3,7 +3,10 @@
 
 use mualloy_analyzer::{compare, Analyzer};
 use specrepair_benchmarks::full_study;
-use specrepair_metrics::{candidate_metrics, rep, sentence_bleu, syntax_match};
+use specrepair_core::OracleHandle;
+use specrepair_metrics::{candidate_metrics, rep, rep_with, sentence_bleu, syntax_match};
+use specrepair_study::runner::repair_with_oracle;
+use specrepair_study::{StudyConfig, TechniqueId};
 
 #[test]
 fn rep_equals_oracle_verdict_on_benchmark_entries() {
@@ -14,6 +17,50 @@ fn rep_equals_oracle_verdict_on_benchmark_entries() {
         assert_eq!(rep(&p.truth, Some(&p.faulty_source)), 0, "{}", p.id);
         // ... and the ground truth itself scores 1.
         assert_eq!(rep(&p.truth, Some(&p.truth_source)), 1, "{}", p.id);
+    }
+}
+
+#[test]
+fn oracle_routed_rep_equals_cold_compare_on_every_study_problem() {
+    // Candidates per problem: the truth, the faulty spec and every
+    // technique's final candidate. The techniques run against the enabled
+    // oracle, so scoring there answers from the memo they filled; the
+    // memo-less and cold-verdict oracles score the same candidates afresh.
+    let config = StudyConfig {
+        scale: 0.003,
+        seed: 7,
+        ..StudyConfig::default()
+    };
+    let problems = full_study(config.scale);
+    assert!(!problems.is_empty());
+    for p in &problems {
+        let enabled = OracleHandle::fresh();
+        let mut candidates = vec![Some(p.truth_source.clone()), Some(p.faulty_source.clone())];
+        for id in TechniqueId::all() {
+            candidates.push(repair_with_oracle(&enabled, id, p, &config).candidate_source);
+        }
+        let arms = [
+            ("enabled", enabled),
+            ("disabled", OracleHandle::disabled()),
+            (
+                "without_incremental",
+                OracleHandle::fresh().without_incremental(),
+            ),
+        ];
+        for source in &candidates {
+            let cold = source
+                .as_deref()
+                .and_then(|s| mualloy_syntax::parse_spec(s).ok())
+                .map_or(0, |c| compare(&p.truth, &c).map_or(0, |r| r.rep()));
+            for (arm, oracle) in &arms {
+                assert_eq!(
+                    rep_with(oracle.service(), &p.truth, source.as_deref()),
+                    cold,
+                    "{} ({arm}): {source:?}",
+                    p.id
+                );
+            }
+        }
     }
 }
 
